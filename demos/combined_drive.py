@@ -49,7 +49,7 @@ psi0 = fock.coherent_state(alpha, cutoff)
 oracle = fock.propagate_state(h, psi0, times)
 mats = fock.ansatz_matrices(traj.raw.basis, cutoff)
 fids = [
-    fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats) @ psi0,
+    fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats, psi0),
                   oracle[i])
     for i in range(len(times))
 ]

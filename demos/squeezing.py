@@ -66,7 +66,7 @@ print(f"\nminimum Var(X) = {np.min(var_x):.4f} (vacuum level is 0.5)")
 
 mats = fock.ansatz_matrices(qtraj.raw.basis, cutoff)
 fid = min(
-    fock.fidelity(fock.apply_ansatz(qtraj.raw.values[:, i], mats) @ psi0,
+    fock.fidelity(fock.apply_ansatz(qtraj.raw.values[:, i], mats, psi0),
                   states[i])
     for i in range(0, len(times), 10)
 )

@@ -84,7 +84,16 @@ def load_config_file(path):
     return entries
 
 
-def resolve_params(scenario, config_path=None, assignments=(), overrides=None):
+def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
+                   dt_out=None):
+    """Merge defaults, config file, inline assignments and flag overrides.
+
+    ``dt_out`` (the ``--dt-out`` flag) replaces ``n_out`` by the number of
+    grid points at that spacing.  Raises ConfigError for unknown keys,
+    unparsable or non-finite values, a non-positive span or ``dt_out``, a
+    cutoff or grid below two points, and a squeezing pair with
+    ``lm != conj(lp)`` (the Hamiltonian would not be Hermitian).
+    """
     if scenario not in SCENARIO_DEFAULTS:
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
         raise ConfigError(f"unknown scenario {scenario!r}; known: {known}")
@@ -119,6 +128,20 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None):
             raise ConfigError(f"parameter {key} is not finite")
     if params["T"] <= 0:
         raise ConfigError("span T must be positive")
+    if dt_out is not None:
+        if dt_out <= 0:
+            raise ConfigError("--dt-out must be positive")
+        params["n_out"] = int(round(params["T"] / dt_out)) + 1
+    if params["n_out"] < 2:
+        raise ConfigError(f"n_out={params['n_out']}: the output grid needs at "
+                          "least two points")
+    if params["cutoff"] < 2:
+        raise ConfigError(f"cutoff={params['cutoff']}: must be at least 2")
+    if "lm" in params and params["lm"] != np.conj(params["lp"]):
+        raise ConfigError(
+            f"lm={params['lm']} must equal conj(lp)={np.conj(params['lp'])} "
+            "for a Hermitian Hamiltonian"
+        )
     return params
 
 
@@ -144,7 +167,7 @@ def _ansatz_states(raw_traj, cutoff, psi0):
     mats = fock.ansatz_matrices(raw_traj.basis, cutoff)
     states = np.empty((len(raw_traj.times), psi0.shape[0]), dtype=complex)
     for i in range(len(raw_traj.times)):
-        states[i] = fock.apply_ansatz(raw_traj.values[:, i], mats) @ psi0
+        states[i] = fock.apply_ansatz(raw_traj.values[:, i], mats, psi0)
     return states
 
 
@@ -442,11 +465,8 @@ def main(argv=None):
         params = resolve_params(
             args.scenario, config_path=args.config,
             assignments=args.assignments, overrides=overrides,
+            dt_out=args.dt_out,
         )
-        if args.dt_out is not None:
-            if args.dt_out <= 0:
-                raise ConfigError("--dt-out must be positive")
-            params["n_out"] = int(round(params["T"] / args.dt_out)) + 1
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

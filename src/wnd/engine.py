@@ -184,11 +184,6 @@ class DecouplingProblem:
         return np.linalg.solve(xi, self.g_vector(t))
 
 
-def decoupling_rhs(problem, t, f):
-    """Module-level alias for :meth:`DecouplingProblem.rhs`."""
-    return problem.rhs(t, f)
-
-
 @dataclass
 class CoefficientTrajectory:
     """Decoupling coefficients on an output grid, plus solver diagnostics.

@@ -6,6 +6,17 @@ step-halving refinement, and the ordered-exponential image of a decoupling
 trajectory.  Every decoupled solution elsewhere in the package is tested
 against this module.
 
+The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
+ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
+non-diagonal factor), which operator-level checks need, or acting on a
+state vector, so no dense product or dense exponential is formed.
+State-level checks use the second.  On a state, diagonal factors multiply
+elementwise; a generator whose nonzeros lie on one off-diagonal (the image
+of every ladder monomial ad^p a^q with p != q, in one or two modes) is
+nilpotent, so its exponential is the terminating Taylor series, summed in
+full on the vector with elementwise products; any other generator goes
+through ``scipy.sparse.linalg.expm_multiply``.
+
 Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
 so operator-level comparisons should exclude the top rows/columns while
@@ -17,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 from scipy.special import gammaln
 
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent
@@ -45,11 +57,6 @@ def x_op(cutoff):
 def p_op(cutoff):
     a = destroy(cutoff)
     return 1j * (a.conj().T - a) / np.sqrt(2.0)
-
-
-def ladder_matrix(cutoff):
-    """Alias for :func:`destroy`."""
-    return destroy(cutoff)
 
 
 def to_matrix(poly, cutoff):
@@ -285,28 +292,91 @@ def ansatz_matrices(basis, cutoff):
     return [to_matrix(e, cutoff) for e in basis]
 
 
-def apply_ansatz(f_values, matrices):
-    """Ordered product prod_j exp(-i F_j M_j) for endpoint coefficients.
+def _band_offset(mat):
+    """Offset of the one diagonal that holds every nonzero of ``mat``.
+
+    0 for a diagonal (or zero) matrix, None when the nonzeros span more than
+    one diagonal.
+    """
+    rows, cols = np.nonzero(mat)
+    offsets = cols - rows
+    if offsets.size == 0:
+        return 0
+    if np.all(offsets == offsets[0]):
+        return int(offsets[0])
+    return None
+
+
+def _banded_exp_action(coefficient, band, offset, psi):
+    """exp(coefficient * M) @ psi for M with entries ``band`` on the single
+    off-diagonal ``offset`` (``band = np.diagonal(M, offset)``).
+
+    M^k lives on diagonal k * offset, so M is nilpotent and the Taylor series
+    ends after ceil(dim / |offset|) terms.  Every term is summed on its
+    shrinking support (rows [0, dim - k|offset|) above the diagonal, rows
+    [k|offset|, dim) below it), so the work does not depend on the
+    coefficient and the series has no truncation error.
+    """
+    step = abs(offset)
+    scaled = coefficient * band
+    out = psi.copy()
+    term = psi
+    k = 1
+    while term.shape[0] > step:
+        m = term.shape[0] - step
+        if offset > 0:
+            term = scaled[:m] * term[step:]
+            term /= k
+            out[:m] += term
+        else:
+            term = scaled[-m:] * term[:m]
+            term /= k
+            out[-m:] += term
+        k += 1
+    return out
+
+
+def apply_ansatz(f_values, matrices, state=None):
+    """Ordered product U = prod_j exp(-i F_j M_j), or its action U @ state.
 
     ``f_values`` may come straight from ``CoefficientTrajectory.final``.
-    Rejects non-finite coefficients.
+    Without ``state`` the dense operator U is returned (one dense ``expm``
+    per non-diagonal factor).  With ``state`` the factors act right to left
+    on the vector and U @ state is returned without forming U: diagonal
+    generators multiply elementwise by exp(-i F_j diag M_j); a generator
+    with its nonzeros on one off-diagonal is nilpotent and its terminating
+    Taylor series is summed on the vector without BLAS calls; every other
+    generator goes through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
+    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Rejects non-finite
+    coefficients and a coefficient/matrix count mismatch on both paths.
     """
     f_values = np.asarray(f_values, dtype=complex)
     if not np.all(np.isfinite(f_values)):
         raise ValueError("non-finite ansatz coefficients")
     if len(f_values) != len(matrices):
         raise ValueError("coefficient/matrix count mismatch")
-    dim = matrices[0].shape[0]
-    u = np.eye(dim, dtype=complex)
-    for f, m in zip(f_values, matrices):
-        u = u @ factor_exponential(f, m)
-    return u
+    if state is None:
+        dim = matrices[0].shape[0]
+        u = np.eye(dim, dtype=complex)
+        for f, m in zip(f_values, matrices):
+            u = u @ factor_exponential(f, m)
+        return u
+    psi = np.asarray(state, dtype=complex)
+    for f, m in zip(f_values[::-1], matrices[::-1]):
+        offset = _band_offset(m)
+        if offset == 0:
+            psi = np.exp(-1j * f * np.diagonal(m)) * psi
+        elif offset is not None:
+            psi = _banded_exp_action(-1j * f, np.diagonal(m, offset), offset, psi)
+        else:
+            psi = scipy.sparse.linalg.expm_multiply(-1j * f * m, psi)
+    return psi
 
 
 def ansatz_state(trajectory, cutoff, initial):
     """Apply the endpoint ansatz of a trajectory to an initial state."""
     mats = ansatz_matrices(trajectory.basis, cutoff)
-    return apply_ansatz(trajectory.final, mats) @ initial
+    return apply_ansatz(trajectory.final, mats, initial)
 
 
 def choose_cutoff(alpha=0.0, displacement=0.0, squeezing=0.0, minimum=24, ceiling=512):

@@ -69,7 +69,7 @@ def test_criterion_1_linear_constant_drive():
     psi0, oracle = oracle_states_linear(Constant(g0), times[::20], cutoff, alpha)
     mats = fock.ansatz_matrices(traj.basis, cutoff)
     fid = [
-        fock.fidelity(fock.apply_ansatz(traj.values[:, i], mats) @ psi0,
+        fock.fidelity(fock.apply_ansatz(traj.values[:, i], mats, psi0),
                       oracle[k])
         for k, i in enumerate(range(0, len(times), 20))
     ]
@@ -151,7 +151,7 @@ def test_criterion_3_quadratic_constant():
     oracle = fock.propagate_state(h, psi0, times[::5])
     mats = fock.ansatz_matrices(traj.raw.basis, cutoff)
     fid = [
-        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats) @ psi0,
+        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats, psi0),
                       oracle[k])
         for k, i in enumerate(range(0, len(times), 5))
     ]
@@ -198,7 +198,7 @@ def test_criterion_4_parametric_drive():
     oracle = fock.propagate_state(h, psi0, times, dt=t_final / 600, drift_tol=1e-7)
     mats = fock.ansatz_matrices(traj.raw.basis, cutoff)
     fid = [
-        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats) @ psi0,
+        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats, psi0),
                       oracle[i])
         for i in range(0, len(times), 10)
     ]
@@ -235,7 +235,7 @@ def test_criterion_5_combined_gaussian():
     oracle = fock.propagate_state(h, psi0, times[::5])
     mats = fock.ansatz_matrices(traj.raw.basis, cutoff)
     fid = [
-        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats) @ psi0,
+        fock.fidelity(fock.apply_ansatz(traj.raw.values[:, i], mats, psi0),
                       oracle[k])
         for k, i in enumerate(range(0, len(times), 5))
     ]
@@ -418,7 +418,7 @@ def test_criterion_8_printed_variant_regressions():
         ("variant B", gaussian.su11_rhs_variant_b),
     ):
         final = integrate_rhs(rhs_fn)[-1]
-        psi = fock.apply_ansatz(final, mats) @ psi0
+        psi = fock.apply_ansatz(final, mats, psi0)
         fids[name] = fock.fidelity(psi / np.linalg.norm(psi), u_oracle @ psi0)
         print(f"[acceptance]   oracle fidelity [{name}]: {fids[name]:.9f}")
 

@@ -81,6 +81,29 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "configuration error" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # lm is validated as conj(lp) instead of being ignored or
+            # escaping as a traceback.
+            ["quadratic-constant", "lm=0.35"],
+            ["gaussian-combined", "lp=0.1", "lm=0.05"],
+            # Degenerate truncations and grids.
+            ["linear-constant", "cutoff=0"],
+            ["linear-constant", "--cutoff", "1"],
+            ["linear-constant", "n_out=1"],
+            ["linear-constant", "T=2.0", "--dt-out", "5.0"],
+            ["linear-constant", "--dt-out", "-1"],
+        ],
+        ids=["quadratic-lm", "combined-lm", "cutoff-0", "cutoff-1",
+             "n-out-1", "dt-out-beyond-T", "dt-out-negative"],
+    )
+    def test_rejected_parameters_exit_code(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", *argv, "--out", str(out)]) == 2
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # Strong constant squeezing makes the transfer matrix singular
         # inside the span; the CLI reports the failure time and exits 3.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.special import gammaln
 
 from wnd import engine, fock, gaussian, ladder
 from wnd.errors import LeakageTooLarge, ModeMismatch, NonConvergent
@@ -9,7 +10,7 @@ from wnd.signals import Constant
 
 class TestLadderMatrix:
     def test_cutoff_one(self):
-        m = fock.ladder_matrix(1)
+        m = fock.destroy(1)
         expected = np.zeros((2, 2))
         expected[0, 1] = 1.0
         np.testing.assert_array_equal(m, expected)
@@ -248,6 +249,72 @@ class TestApplyAnsatz:
         mats = fock.ansatz_matrices(gaussian.linear_basis(), 4)
         with pytest.raises(ValueError):
             fock.apply_ansatz([np.nan, 0, 0, 0], mats)
+
+    @pytest.mark.parametrize(
+        "basis,cutoff",
+        [
+            (gaussian.linear_basis(), 8),
+            (gaussian.su11_basis(), 8),
+            (gaussian.combined_basis(), 8),
+            (ladder.close_algebra([ladder.parse_polynomial(g, n_modes=2)
+                                   for g in ("ad*b + a*bd", "ad*a")]), (3, 3)),
+            (ladder.close_algebra([ladder.parse_polynomial(g, n_modes=2)
+                                   for g in ("ad*b", "a*bd")]), (3, 3)),
+        ],
+        ids=["linear", "su11", "combined", "two-mode", "two-mode-monomials"],
+    )
+    def test_state_path_matches_operator(self, basis, cutoff):
+        # Complex coefficients make the factors non-unitary and the product
+        # can grow by many orders of magnitude, so the two paths are
+        # compared relative to the size of the result.
+        mats = fock.ansatz_matrices(basis, cutoff)
+        dim = mats[0].shape[0]
+        rng = np.random.default_rng(20111)
+        for _ in range(20):
+            n = len(mats)
+            f = 3.0 * np.sqrt(rng.uniform(size=n)) * np.exp(
+                2j * np.pi * rng.uniform(size=n))
+            psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            psi /= np.linalg.norm(psi)
+            dense = fock.apply_ansatz(f, mats) @ psi
+            state = fock.apply_ansatz(f, mats, psi)
+            assert np.linalg.norm(state - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize("f", [0.7, 2.0 - 1.5j])
+    def test_state_path_monomials_against_closed_form(self, f):
+        # Monomial generators take the terminating-series path.  Exact images
+        # in the truncated space: ad^k|0> = sqrt(k!)|k> and
+        # a^k|n> = sqrt(n!/(n-k)!)|n-k>, so each factor applied to a number
+        # state is a finite sum with closed-form coefficients.
+        cutoff = 80
+        a = fock.destroy(cutoff)
+        ad = a.conj().T
+        c = -1j * f
+        vac = fock.coherent_state(0.0, cutoff)
+        top = np.zeros(cutoff + 1, dtype=complex)
+        top[cutoff] = 1.0
+        n = np.arange(cutoff + 1)
+        half = n[: cutoff // 2 + 1]
+        cases = [
+            (ad, vac, c ** n * np.exp(-0.5 * gammaln(n + 1))),
+            (a, top, (c ** (cutoff - n)
+                      * np.exp(0.5 * gammaln(cutoff + 1) - 0.5 * gammaln(n + 1)
+                               - gammaln(cutoff - n + 1)))),
+        ]
+        two = np.zeros(cutoff + 1, dtype=complex)
+        two[2 * half] = c ** half * np.exp(0.5 * gammaln(2 * half + 1) - gammaln(half + 1))
+        cases.append((ad @ ad, vac, two))
+        for gen, psi, expected in cases:
+            got = fock.apply_ansatz([f], [gen], psi)
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_state_path_rejects_bad_coefficients(self):
+        mats = fock.ansatz_matrices(gaussian.linear_basis(), 4)
+        psi = fock.coherent_state(0.0, 4)
+        with pytest.raises(ValueError):
+            fock.apply_ansatz([np.inf, 0, 0, 0], mats, psi)
+        with pytest.raises(ValueError):
+            fock.apply_ansatz([0, 0, 0], mats, psi)
 
 
 class TestLeakageControl:
