@@ -15,6 +15,7 @@ from .errors import (
     LeakageTooLarge,
     ModeMismatch,
     NonConvergent,
+    NonHermitian,
     NotClosed,
     ParseError,
     StepUnderflow,
@@ -46,7 +47,7 @@ __all__ = [
     "xi_matrix",
     "WndError", "ModeMismatch", "ParseError", "UnknownMode", "ClosureOverflow",
     "NotClosed", "XiSingular", "StepUnderflow", "NonConvergent",
-    "LeakageTooLarge", "TraceDrift",
+    "NonHermitian", "LeakageTooLarge", "TraceDrift",
     "LadderPolynomial", "LieBasis", "adjoint_matrices", "annihilation",
     "close_algebra", "commutator", "coordinates_in_basis", "creation",
     "identity", "normal_order", "number", "parse_polynomial",

@@ -12,7 +12,9 @@ one-line summary with the minimum fidelity.  Parameter precedence: scenario
 defaults < config file (flat ``key = value`` lines) < inline key=value
 arguments < explicit flags.  The default output directory is taken from the
 WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure (the failure time is printed when available).
+error, 3 solver failure (the failure time is printed when available),
+including leakage: an oracle or ansatz row with more than 1e-8 population
+in the top two Fock levels.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
 fidelity, detXi`` as applicable per scenario; values are written with 17
@@ -29,7 +31,7 @@ import sys
 import numpy as np
 
 from . import engine, fock, gaussian, ladder, liouville
-from .errors import WndError
+from .errors import LeakageTooLarge, WndError
 from .signals import Constant, Sinusoid
 
 TWO_PI = 2.0 * np.pi
@@ -91,7 +93,8 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     ``dt_out`` (the ``--dt-out`` flag) replaces ``n_out`` by the number of
     grid points at that spacing.  Raises ConfigError for unknown keys,
     unparsable or non-finite values, a non-positive span or ``dt_out``, a
-    cutoff or grid below two points, and a squeezing pair with
+    cutoff or grid below two points, a negative ``rtol``/``atol`` or both
+    zero, a negative damping rate ``kappa``, and a squeezing pair with
     ``lm != conj(lp)`` (the Hamiltonian would not be Hermitian).
     """
     if scenario not in SCENARIO_DEFAULTS:
@@ -137,6 +140,13 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
                           "least two points")
     if params["cutoff"] < 2:
         raise ConfigError(f"cutoff={params['cutoff']}: must be at least 2")
+    if params["rtol"] < 0 or params["atol"] < 0:
+        raise ConfigError("rtol and atol must be non-negative")
+    if params["rtol"] == 0 and params["atol"] == 0:
+        raise ConfigError("rtol and atol cannot both be zero")
+    if params.get("kappa", 0.0) < 0:
+        raise ConfigError(f"kappa={params['kappa']}: a damping rate cannot be "
+                          "negative")
     if "lm" in params and params["lm"] != np.conj(params["lp"]):
         raise ConfigError(
             f"lm={params['lm']} must equal conj(lp)={np.conj(params['lp'])} "
@@ -171,7 +181,26 @@ def _ansatz_states(raw_traj, cutoff, psi0):
     return states
 
 
-def _fidelity_column(oracle_states, ansatz_states):
+# Top-two-level population allowed on any oracle or ansatz row: the
+# tightest fidelity floor a run is checked against.
+_LEAKAGE_TOL = 1e-8
+
+
+def _checked_fidelity(times, oracle_states, ansatz_states):
+    """Per-row fidelity, after checking leakage along both trajectories.
+
+    Raises LeakageTooLarge at the first row where either trajectory keeps
+    more than _LEAKAGE_TOL population in the top two levels.
+    """
+    for name, states in (("oracle", oracle_states), ("ansatz", ansatz_states)):
+        top = np.array([fock.leakage(s) for s in states])
+        bad = np.flatnonzero(top > _LEAKAGE_TOL)
+        if bad.size:
+            i = bad[0]
+            raise LeakageTooLarge(
+                f"{name} state keeps {top[i]:.2e} population in the top two "
+                f"levels at t={times[i]:.6g}; raise the cutoff"
+            )
     return np.array(
         [fock.fidelity(a, o) for a, o in zip(ansatz_states, oracle_states)]
     )
@@ -200,7 +229,7 @@ def _linear_scenario(params, signal):
     psi0 = fock.coherent_state(alpha, cutoff)
     oracle = _oracle_states(h_eval, psi0, times)
     ansatz = _ansatz_states(traj, cutoff, psi0)
-    fid = _fidelity_column(oracle, ansatz)
+    fid = _checked_fidelity(times, oracle, ansatz)
     columns = {
         "t": times,
         "ReF0": traj.values[0].real,
@@ -245,7 +274,7 @@ def _quadratic_scenario(params, lam_signal):
     psi0 = fock.coherent_state(alpha, cutoff)
     oracle = _oracle_states(h_eval, psi0, times)
     ansatz = _ansatz_states(traj.raw, cutoff, psi0)
-    fid = _fidelity_column(oracle, ansatz)
+    fid = _checked_fidelity(times, oracle, ansatz)
 
     x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
     x = np.array([fock.expectation(x_mat, s).real for s in oracle])
@@ -291,7 +320,7 @@ def run_gaussian_combined(params):
     psi0 = fock.coherent_state(alpha, cutoff)
     oracle = _oracle_states(h_mat, psi0, times)
     ansatz = _ansatz_states(traj.raw, cutoff, psi0)
-    fid = _fidelity_column(oracle, ansatz)
+    fid = _checked_fidelity(times, oracle, ansatz)
 
     x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
     x = np.array([fock.expectation(x_mat, s).real for s in oracle])

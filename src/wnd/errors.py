@@ -70,3 +70,7 @@ class LeakageTooLarge(WndError):
 
 class TraceDrift(WndError):
     """Density-matrix trace drifted beyond tolerance during propagation."""
+
+
+class NonHermitian(WndError, ValueError):
+    """A Hamiltonian handed to the Fock oracle is not Hermitian."""

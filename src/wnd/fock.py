@@ -6,6 +6,16 @@ step-halving refinement, and the ordered-exponential image of a decoupling
 trajectory.  Every decoupled solution elsewhere in the package is tested
 against this module.
 
+The oracle steps U <- exp(-i H(t + dt/2) dt) U and halves dt until the
+endpoint settles.  :func:`propagate` builds the operator, one ``eigh`` per
+distinct H.  :func:`propagate_state` acts on the state instead: each
+sub-step applies exp(-i H dt) to psi by a Taylor series scaled into
+ceil(dt ||H||_1) pieces of norm <= 1, so a time-dependent H is not
+diagonalised and no dense step matrix is formed; a repeated H (a constant
+drive), or one that would need more pieces than the dimension, uses the
+eigen step matrix instead.  The oracle shares no code with the
+ansatz replay below.
+
 The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
 ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
 non-diagonal factor), which operator-level checks need, or acting on a
@@ -31,7 +41,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 from scipy.special import gammaln
 
-from .errors import LeakageTooLarge, ModeMismatch, NonConvergent
+from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 
 
 def destroy(cutoff):
@@ -158,11 +168,53 @@ def variance(op, psi):
     return float((expectation(op @ op, psi) - mean ** 2).real)
 
 
-class _MidpointStepper:
-    """Short-step unitary factors exp(-i H dt) with an eigen-basis cache.
+# A Taylor piece has norm <= 1, so term k is below ||psi||/k! and roundoff is
+# reached by k = 18; hitting this cap means the input was not finite.
+_TAYLOR_MAX_TERMS = 30
 
-    Consecutive identical Hamiltonian evaluations (constant H) reuse both the
-    eigendecomposition and the assembled step matrix.
+
+def _taylor_exp_action(h, dt, psi, pieces):
+    """exp(-i h dt) @ psi by a Taylor series on the vector, in ``pieces``
+    steps of dt / pieces.
+
+    With pieces >= dt * ||h||_1 every piece has norm <= 1 (the scaling
+    behind Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); each
+    piece sums terms until one falls below roundoff relative to psi.
+    Raises NonConvergent when a piece needs more than _TAYLOR_MAX_TERMS
+    terms, which only non-finite input can cause.
+    """
+    scale = -1j * dt / pieces
+    tol_sq = np.finfo(float).eps ** 2 * np.vdot(psi, psi).real
+    for _ in range(pieces):
+        out = psi.copy()
+        term = psi
+        for k in range(1, _TAYLOR_MAX_TERMS + 1):
+            term = h @ term
+            term *= scale / k
+            out += term
+            if np.vdot(term, term).real <= tol_sq:
+                break
+        else:
+            raise NonConvergent(
+                f"Taylor step did not reach roundoff in {_TAYLOR_MAX_TERMS} terms"
+            )
+        psi = out
+    return psi
+
+
+class _MidpointStepper:
+    """Midpoint factors exp(-i H dt) with a cache for a repeated H.
+
+    ``step_matrix`` forms the dense factor from an eigendecomposition, which
+    operator propagation needs.  ``step_state`` applies the factor to a
+    vector: an H equal to the previous evaluation (a constant drive) reuses
+    the cached eigen step matrix; any other H goes through
+    :func:`_taylor_exp_action` in ceil(dt ||H||_1) pieces, so a
+    time-dependent H is not diagonalised.  A piece costs about a dozen
+    matrix-vector products, so past ``dim`` pieces (an H far larger than
+    its sub-step resolves) the series would cost more than an
+    eigendecomposition, and the eigen step is used instead.  Every new H is
+    checked for Hermiticity (raises NonHermitian).
     """
 
     def __init__(self):
@@ -171,18 +223,36 @@ class _MidpointStepper:
         self._dt = None
         self._step = None
 
-    def step_matrix(self, h, dt):
-        if self._h is None or h.shape != self._h.shape or not np.array_equal(h, self._h):
-            if not is_hermitian(h):
-                raise ValueError("midpoint propagator requires a Hermitian H(t)")
-            self._h = h.copy()
-            self._eig = np.linalg.eigh(h)
-            self._dt = None
+    def _is_repeat(self, h):
+        """True when ``h`` equals the previous H; otherwise record it."""
+        if self._h is not None and h.shape == self._h.shape and np.array_equal(h, self._h):
+            return True
+        if not is_hermitian(h):
+            raise NonHermitian("midpoint propagator requires a Hermitian H(t)")
+        self._h = h.copy()
+        self._eig = None
+        self._dt = None
+        return False
+
+    def _cached_step(self, dt):
+        if self._eig is None:
+            self._eig = np.linalg.eigh(self._h)
         if self._dt != dt:
             w, v = self._eig
             self._step = (v * np.exp(-1j * w * dt)) @ v.conj().T
             self._dt = dt
         return self._step
+
+    def step_matrix(self, h, dt):
+        self._is_repeat(h)
+        return self._cached_step(dt)
+
+    def step_state(self, h, dt, psi):
+        if not self._is_repeat(h):
+            reach = dt * np.max(np.sum(np.abs(self._h), axis=0))
+            if reach <= h.shape[0]:
+                return _taylor_exp_action(self._h, dt, psi, max(1, int(np.ceil(reach))))
+        return self._cached_step(dt) @ psi
 
 
 def _time_ordered(h_eval, t0, t1, n_steps):
@@ -240,7 +310,7 @@ def _state_run(h_eval, psi0, times, dt_target):
         dt = (hi - lo) / n_sub
         for j in range(n_sub):
             mid = lo + (j + 0.5) * dt
-            psi = stepper.step_matrix(h_eval(mid), dt) @ psi
+            psi = stepper.step_state(h_eval(mid), dt, psi)
         out[i] = psi
     return out
 
@@ -250,8 +320,16 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
     """State trajectory under the midpoint-exponential propagator.
 
     Same stepping and refinement policy as :func:`propagate`, but applied to
-    a state vector with exact landings on the output grid.  Returns an array
-    of shape (len(times), dim).
+    a state vector with exact landings on the output grid.  Each sub-step
+    applies exp(-i H(t_mid) dt) to the vector by a scaled Taylor series
+    (no ``eigh``, no dense step matrix); when H equals the previous
+    evaluation the cached eigen step matrix of that H is reused, so a
+    constant H costs one ``eigh`` per refinement pass.  A sub-step with
+    dt ||H||_1 above the dimension uses the eigen step too, which is
+    cheaper there.  Raises NonHermitian
+    for a non-Hermitian H and NonConvergent when the refinement or a Taylor
+    series (non-finite input) does not settle.  Returns an array of shape
+    (len(times), dim).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):

@@ -94,9 +94,15 @@ class TestRunCommand:
             ["linear-constant", "n_out=1"],
             ["linear-constant", "T=2.0", "--dt-out", "5.0"],
             ["linear-constant", "--dt-out", "-1"],
+            # Tolerances and rates that would be ignored or misreported.
+            ["linear-constant", "rtol=-1"],
+            ["linear-constant", "--atol", "-1"],
+            ["linear-constant", "rtol=0", "atol=0"],
+            ["open-damped", "kappa=-1"],
         ],
         ids=["quadratic-lm", "combined-lm", "cutoff-0", "cutoff-1",
-             "n-out-1", "dt-out-beyond-T", "dt-out-negative"],
+             "n-out-1", "dt-out-beyond-T", "dt-out-negative", "rtol-negative",
+             "atol-negative", "tolerances-zero", "kappa-negative"],
     )
     def test_rejected_parameters_exit_code(self, argv, tmp_path, capsys):
         out = tmp_path / "never.csv"
@@ -115,6 +121,27 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "solver error" in err
         assert "t=" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["quadratic-parametric", "cutoff=12"],
+            ["quadratic-parametric", "l0=0.6"],
+            ["quadratic-constant", "lp=0.6", "lm=0.6"],
+            ["linear-resonant", "cutoff=20"],
+        ],
+        ids=["parametric-cutoff-12", "parametric-l0", "constant-lp",
+             "resonant-cutoff-20"],
+    )
+    def test_leakage_exit_code(self, argv, tmp_path, capsys):
+        # Population reaches the top two levels mid-run (>= 1.2e-4), so the
+        # fidelity column would rest on a truncation artefact.
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "top two levels" in err
+        assert "t=" in err
+        assert not out.exists()
 
     def test_dt_out_controls_grid(self, tmp_path):
         out = tmp_path / "c.csv"

@@ -4,7 +4,9 @@ import scipy.linalg
 from scipy.special import gammaln
 
 from wnd import engine, fock, gaussian, ladder
-from wnd.errors import LeakageTooLarge, ModeMismatch, NonConvergent
+from wnd.errors import (
+    LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian, WndError,
+)
 from wnd.signals import Constant
 
 
@@ -189,6 +191,145 @@ class TestPropagate:
         with pytest.raises(NonConvergent):
             fock.propagate(h, 2.0, dt=2.0 / 100, drift_tol=1e-14,
                            max_refinements=1)
+
+
+def _eigh_midpoint_states(h_eval, psi0, times, dt, drift_tol, max_refinements=10):
+    """Reference oracle with one ``eigh`` per midpoint sub-step.
+
+    Same step rule, grid landings and dt/2 refinement as
+    ``fock.propagate_state``; only the action of exp(-i H dt) differs.
+    """
+    def run(dt):
+        psi = psi0
+        out = [psi]
+        for lo, hi in zip(times[:-1], times[1:]):
+            n_sub = max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
+            step = (hi - lo) / n_sub
+            for j in range(n_sub):
+                w, v = np.linalg.eigh(h_eval(lo + (j + 0.5) * step))
+                psi = v @ (np.exp(-1j * w * step) * (v.conj().T @ psi))
+            out.append(psi)
+        return np.array(out)
+
+    prev = run(dt)
+    for _ in range(max_refinements):
+        dt /= 2.0
+        nxt = run(dt)
+        if np.max(np.abs(nxt[-1] - prev[-1])) <= drift_tol:
+            return nxt
+        prev = nxt
+    raise AssertionError("reference oracle did not settle")
+
+
+def _driven_hamiltonian(cutoff, g, lam):
+    """t -> n + g(t)(ad + a) + lam(t) ad^2 + conj(lam(t)) a^2."""
+    a = fock.destroy(cutoff)
+    ad = a.conj().T
+    n, drive, up, down = fock.number_op(cutoff), ad + a, ad @ ad, a @ a
+
+    def h(t):
+        lt = lam(t)
+        return n + g(t) * drive + lt * up + np.conj(lt) * down
+
+    return h
+
+
+class TestPropagateState:
+    CUTOFF = 30
+    DRIVES = {
+        "linear": (lambda t: 0.3 * np.cos(1.1 * t), lambda t: 0.0),
+        "su11": (lambda t: 0.0, lambda t: 0.1 * np.exp(2j * t)),
+        "combined": (lambda t: 0.2 * np.sin(0.9 * t),
+                     lambda t: 0.08 * np.cos(2.0 * t) + 0.03j),
+    }
+
+    @pytest.mark.parametrize("drive", ["linear", "su11", "combined"])
+    def test_matches_eigh_reference(self, drive):
+        # The Taylor action changes only roundoff: same refinement passes,
+        # same trajectory to 1e-12.
+        h = _driven_hamiltonian(self.CUTOFF, *self.DRIVES[drive])
+        psi0 = fock.coherent_state(1.0, self.CUTOFF)
+        times = np.linspace(0.0, 2.0, 6)
+        new = fock.propagate_state(h, psi0, times, dt=2.0 / 200, drift_tol=1e-6)
+        ref = _eigh_midpoint_states(h, psi0, times, 2.0 / 200, 1e-6)
+        assert np.max(np.abs(new - ref)) <= 1e-12
+
+    def _count_eigh(self, monkeypatch):
+        calls = []
+        real = np.linalg.eigh
+
+        def counted(mat):
+            calls.append(1)
+            return real(mat)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        return calls
+
+    def test_time_dependent_h_never_diagonalised(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        h = _driven_hamiltonian(self.CUTOFF, *self.DRIVES["combined"])
+        psi0 = fock.coherent_state(1.0, self.CUTOFF)
+        fock.propagate_state(h, psi0, np.linspace(0.0, 1.0, 3), dt=0.01,
+                             drift_tol=1e-6)
+        assert len(calls) == 0
+
+    def test_constant_h_diagonalised_once_per_pass(self, monkeypatch):
+        calls = self._count_eigh(monkeypatch)
+        h_mat = _driven_hamiltonian(self.CUTOFF, lambda t: 0.2,
+                                    lambda t: 0.05)(0.0)
+        passes = []
+
+        def h(t):
+            if not passes or t < passes[-1]:
+                passes.append(t)
+            passes[-1] = t
+            return h_mat
+
+        psi0 = fock.coherent_state(1.0, self.CUTOFF)
+        fock.propagate_state(h, psi0, np.linspace(0.0, 1.0, 5), dt=0.01,
+                             drift_tol=1e-9)
+        assert len(passes) >= 2
+        assert 1 <= len(calls) <= len(passes)
+
+    @pytest.mark.parametrize(
+        "cutoff,dt,eigh_calls",
+        [(200, 0.5, 0), (20, 5.0, 1)],
+        ids=["series-166-pieces", "eigen-above-dim"],
+    )
+    def test_large_norm_step_matches_expm(self, cutoff, dt, eigh_calls,
+                                          monkeypatch):
+        # dt ||H||_1 ~ 166 at cutoff 200: the step is cut into that many
+        # Taylor pieces.  At cutoff 20, dt = 5 it exceeds the dimension and
+        # the eigen step is used instead.
+        calls = self._count_eigh(monkeypatch)
+        h = _driven_hamiltonian(cutoff, lambda t: 0.5, lambda t: 0.3)(0.0)
+        rng = np.random.default_rng(488)
+        psi = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
+        psi /= np.linalg.norm(psi)
+        got = fock._MidpointStepper().step_state(h, dt, psi)
+        assert len(calls) == eigh_calls
+        want = scipy.linalg.expm(-1j * dt * h) @ psi
+        assert np.linalg.norm(got - want) <= 1e-12
+
+    def test_nan_hamiltonian_raises(self):
+        h_mat = fock.number_op(6)
+        h_mat[2, 3] = h_mat[3, 2] = np.nan
+        psi0 = fock.coherent_state(0.5, 6, leakage_tol=1e-2)
+        with pytest.raises(WndError):
+            fock.propagate_state(lambda t: h_mat, psi0, [0.0, 1.0])
+
+    def test_taylor_term_cap(self):
+        # A non-finite state never meets the roundoff test: the term cap
+        # stops the series instead of letting it loop.
+        psi = np.ones(7, dtype=complex)
+        psi[3] = np.nan
+        with pytest.raises(NonConvergent):
+            fock._MidpointStepper().step_state(fock.number_op(6), 0.1, psi)
+
+    def test_non_hermitian_is_typed(self):
+        h_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(NonHermitian):
+            fock.propagate_state(lambda t: h_mat, [1.0, 0.0], [0.0, 1.0])
 
 
 class TestApplyAnsatz:
