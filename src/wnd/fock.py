@@ -12,9 +12,8 @@ distinct H.  :func:`propagate_state` acts on the state instead: each
 sub-step applies exp(-i H dt) to psi by a Taylor series scaled into
 ceil(dt ||H||_1) pieces of norm <= 1, so a time-dependent H is not
 diagonalised and no dense step matrix is formed; a repeated H (a constant
-drive), or one that would need more pieces than the dimension, uses the
-eigen step matrix instead.  The oracle shares no code with the
-ansatz replay below.
+drive) reuses its eigen step matrix instead.  The oracle shares no code
+with the ansatz replay below.
 
 The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
 ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
@@ -117,6 +116,8 @@ def to_matrix(poly, cutoff):
 
 def is_hermitian(mat, tol=1e-12):
     scale = max(np.max(np.abs(mat)), 1.0)
+    if not np.isfinite(scale):
+        return False
     return np.max(np.abs(mat - mat.conj().T)) <= tol * scale
 
 
@@ -210,11 +211,8 @@ class _MidpointStepper:
     vector: an H equal to the previous evaluation (a constant drive) reuses
     the cached eigen step matrix; any other H goes through
     :func:`_taylor_exp_action` in ceil(dt ||H||_1) pieces, so a
-    time-dependent H is not diagonalised.  A piece costs about a dozen
-    matrix-vector products, so past ``dim`` pieces (an H far larger than
-    its sub-step resolves) the series would cost more than an
-    eigendecomposition, and the eigen step is used instead.  Every new H is
-    checked for Hermiticity (raises NonHermitian).
+    time-dependent H is not diagonalised.  Every new H is checked for
+    Hermiticity (raises NonHermitian, also for a non-finite H).
     """
 
     def __init__(self):
@@ -248,11 +246,10 @@ class _MidpointStepper:
         return self._cached_step(dt)
 
     def step_state(self, h, dt, psi):
-        if not self._is_repeat(h):
-            reach = dt * np.max(np.sum(np.abs(self._h), axis=0))
-            if reach <= h.shape[0]:
-                return _taylor_exp_action(self._h, dt, psi, max(1, int(np.ceil(reach))))
-        return self._cached_step(dt) @ psi
+        if self._is_repeat(h):
+            return self._cached_step(dt) @ psi
+        reach = dt * np.max(np.sum(np.abs(self._h), axis=0))
+        return _taylor_exp_action(self._h, dt, psi, max(1, int(np.ceil(reach))))
 
 
 def _time_ordered(h_eval, t0, t1, n_steps):
@@ -324,12 +321,10 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
     applies exp(-i H(t_mid) dt) to the vector by a scaled Taylor series
     (no ``eigh``, no dense step matrix); when H equals the previous
     evaluation the cached eigen step matrix of that H is reused, so a
-    constant H costs one ``eigh`` per refinement pass.  A sub-step with
-    dt ||H||_1 above the dimension uses the eigen step too, which is
-    cheaper there.  Raises NonHermitian
-    for a non-Hermitian H and NonConvergent when the refinement or a Taylor
-    series (non-finite input) does not settle.  Returns an array of shape
-    (len(times), dim).
+    constant H costs one ``eigh`` per refinement pass.  Raises
+    NonHermitian for a non-Hermitian or non-finite H, and NonConvergent
+    when the refinement does not settle or a Taylor series meets a
+    non-finite state.  Returns an array of shape (len(times), dim).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):

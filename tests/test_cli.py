@@ -126,16 +126,17 @@ class TestRunCommand:
         "argv",
         [
             ["quadratic-parametric", "cutoff=12"],
-            ["quadratic-parametric", "l0=0.6"],
-            ["quadratic-constant", "lp=0.6", "lm=0.6"],
-            ["linear-resonant", "cutoff=20"],
+            ["quadratic-parametric", "l0=0.6", "T=3", "n_out=31"],
+            ["quadratic-constant", "lp=0.6", "lm=0.6", "n_out=41"],
+            ["linear-resonant", "cutoff=20", "T=19", "n_out=39"],
         ],
         ids=["parametric-cutoff-12", "parametric-l0", "constant-lp",
              "resonant-cutoff-20"],
     )
     def test_leakage_exit_code(self, argv, tmp_path, capsys):
-        # Population reaches the top two levels mid-run (>= 1.2e-4), so the
-        # fidelity column would rest on a truncation artefact.
+        # Population in the top two levels passes 1e-8 mid-run and peaks at
+        # 5e-7 to 1e-2, so the fidelity column would rest on a truncation
+        # artefact.  Spans and grids are cut to where the leak is clear.
         out = tmp_path / "never.csv"
         assert run_cli(["run", *argv, "--out", str(out)]) == 3
         err = capsys.readouterr().err
