@@ -235,7 +235,9 @@ class _MidpointStepper:
     def _cached_step(self, dt):
         if self._eig is None:
             self._eig = np.linalg.eigh(self._h)
-        if self._dt != dt:
+        # Output intervals of a uniform grid differ by float dust; matching
+        # dt to relative 1e-12 keeps one step matrix per genuine step size.
+        if self._dt is None or abs(dt - self._dt) > 1e-12 * self._dt:
             w, v = self._eig
             self._step = (v * np.exp(-1j * w * dt)) @ v.conj().T
             self._dt = dt

@@ -289,6 +289,16 @@ class TestPropagateState:
         assert len(passes) >= 2
         assert 1 <= len(calls) <= len(passes)
 
+    def test_step_matrix_reused_across_float_dust_in_dt(self):
+        # Uniform output grids give sub-step sizes that differ by roundoff;
+        # those reuse the cached step matrix, a genuinely new dt does not.
+        h = fock.number_op(8)
+        stepper = fock._MidpointStepper()
+        first = stepper.step_matrix(h, 0.01)
+        assert stepper.step_matrix(h, 0.01 * (1 + 1e-15)) is first
+        assert stepper.step_matrix(h, 0.01 * (1 - 1e-15)) is first
+        assert stepper.step_matrix(h, 0.02) is not first
+
     def test_large_norm_step_matches_expm(self, monkeypatch):
         # dt ||H||_1 ~ 166 at cutoff 200: the step is cut into that many
         # Taylor pieces.

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from wnd import fock, ladder, liouville
-from wnd.errors import ClosureOverflow, TraceDrift
+from wnd.errors import ClosureOverflow, NonConvergent, TraceDrift
 
 
 class TestVectorization:
@@ -185,6 +187,100 @@ class TestPropagateDensity:
         with pytest.raises(TraceDrift):
             liouville.propagate_density(bogus, rho0, 20.0, dt=0.2,
                                         times=np.linspace(0, 20, 5))
+
+
+def _coherent_density(alpha, cutoff):
+    psi = fock.coherent_state(alpha, cutoff, leakage_tol=1e-2)
+    return np.outer(psi, psi.conj())
+
+
+class TestTaylorStep:
+    """Each step applies exp(L dt) to vec(rho) by the oracle's scaled Taylor
+    series on the CSR generator; no dense exponential is formed."""
+
+    def test_no_dense_exponential(self, monkeypatch):
+        calls = []
+
+        def counted(real):
+            def wrapper(*args, **kwargs):
+                calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for mod, name in [(scipy.linalg, "expm"), (scipy.sparse.linalg, "expm"),
+                          (scipy.sparse.linalg, "expm_multiply")]:
+            monkeypatch.setattr(mod, name, counted(getattr(mod, name)))
+        cutoff = 8
+        gen = liouville.build_lindbladian(
+            fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.5]]
+        )
+        rho0 = _coherent_density(0.7, cutoff)
+        times = np.linspace(0.0, 1.0, 3)
+        for generator in (gen, lambda t: gen):
+            liouville.propagate_density(generator, rho0, 1.0, dt=0.01, times=times)
+        assert calls == []
+
+    def test_large_norm_step_matches_expm(self):
+        # dt ||L||_1 ~ 16 per step: each step is cut into that many pieces,
+        # and 100 exact steps of a constant generator compose to exp(L T).
+        cutoff, t_final = 10, 2.0
+        gen = liouville.build_lindbladian(
+            80.0 * fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.2]]
+        )
+        dt = t_final / 100
+        assert dt * np.max(np.sum(np.abs(gen), axis=0)) > 10
+        rho0 = _coherent_density(0.8, cutoff)
+        traj = liouville.propagate_density(gen, rho0, t_final, dt=dt,
+                                           times=[0.0, t_final], refine=False)
+        want = scipy.linalg.expm(gen * t_final) @ liouville.vectorize(rho0)
+        assert np.max(np.abs(traj.final - liouville.devectorize(want))) <= 1e-12
+
+    @pytest.mark.parametrize("callable_gen", [False, True], ids=["matrix", "callable"])
+    def test_nan_generator_hits_term_cap(self, callable_gen):
+        cutoff = 4
+        gen = liouville.build_lindbladian(
+            fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.5]]
+        )
+        gen[3, 7] = np.nan
+        rho0 = _coherent_density(0.5, cutoff)
+        generator = (lambda t: gen) if callable_gen else gen
+        with pytest.raises(NonConvergent):
+            liouville.propagate_density(generator, rho0, 1.0, dt=0.01)
+
+    def test_callable_dephasing_matches_closed_form(self):
+        # H = N, jump N at rate gamma(t) = g0 (1 + sin t): every |m><n|
+        # evolves on its own, rho_mn(t) = rho_mn(0)
+        # exp(-i (m-n) t - (m-n)^2/2 * g0 (t + 1 - cos t)).
+        cutoff, g0, t_final, tol = 6, 0.3, 3.0, 1e-7
+        n_op = fock.number_op(cutoff)
+        unitary = liouville.build_lindbladian(n_op, [])
+        dephasing = liouville.build_lindbladian(np.zeros_like(n_op), [n_op])
+
+        def gen(t):
+            return unitary + g0 * (1 + np.sin(t)) * dephasing
+
+        rho0 = _coherent_density(0.8, cutoff)
+        times = np.linspace(0.0, t_final, 7)
+        traj = liouville.propagate_density(gen, rho0, t_final, dt=t_final / 300,
+                                           times=times, trace_tol=tol)
+        m = np.arange(cutoff + 1)
+        diff = m[:, None] - m[None, :]
+        for t, rho in zip(times, traj.matrices):
+            rate_integral = g0 * (t + 1 - np.cos(t))
+            want = rho0 * np.exp(-1j * diff * t - diff ** 2 / 2 * rate_integral)
+            assert np.max(np.abs(rho - want)) <= tol
+
+    def test_constant_callable_matches_matrix(self):
+        cutoff = 8
+        gen = liouville.build_lindbladian(
+            fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.4]]
+        )
+        rho0 = _coherent_density(0.9, cutoff)
+        times = np.linspace(0.0, 2.0, 5)
+        static = liouville.propagate_density(gen, rho0, 2.0, dt=0.02, times=times)
+        called = liouville.propagate_density(lambda t: gen, rho0, 2.0, dt=0.02,
+                                             times=times)
+        assert np.max(np.abs(static.matrices - called.matrices)) <= 1e-12
 
 
 class TestSuperalgebraClosure:
