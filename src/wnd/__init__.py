@@ -15,6 +15,7 @@ from .errors import (
     LeakageTooLarge,
     ModeMismatch,
     NonConvergent,
+    NonFinite,
     NonHermitian,
     NotClosed,
     ParseError,
@@ -47,7 +48,7 @@ __all__ = [
     "xi_matrix",
     "WndError", "ModeMismatch", "ParseError", "UnknownMode", "ClosureOverflow",
     "NotClosed", "XiSingular", "StepUnderflow", "NonConvergent",
-    "NonHermitian", "LeakageTooLarge", "TraceDrift",
+    "NonHermitian", "NonFinite", "LeakageTooLarge", "TraceDrift",
     "LadderPolynomial", "LieBasis", "adjoint_matrices", "annihilation",
     "close_algebra", "commutator", "coordinates_in_basis", "creation",
     "identity", "normal_order", "number", "parse_polynomial",

@@ -14,7 +14,7 @@ arguments < explicit flags.  The default output directory is taken from the
 WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure (the failure time is printed when available),
 including leakage: an oracle or ansatz row with more than 1e-8 population
-in the top two Fock levels.
+in the top two Fock levels.  The ansatz is checked before the oracle runs.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
 fidelity, detXi`` as applicable per scenario; values are written with 17
@@ -186,24 +186,32 @@ def _ansatz_states(raw_traj, cutoff, psi0):
 _LEAKAGE_TOL = 1e-8
 
 
-def _checked_fidelity(times, oracle_states, ansatz_states):
-    """Per-row fidelity, after checking leakage along both trajectories.
+def _check_leakage(name, times, states):
+    """Raise LeakageTooLarge at the first row of ``states`` that keeps more
+    than _LEAKAGE_TOL population in the top two levels."""
+    top = np.array([fock.leakage(s) for s in states])
+    bad = np.flatnonzero(top > _LEAKAGE_TOL)
+    if bad.size:
+        i = bad[0]
+        raise LeakageTooLarge(
+            f"{name} state keeps {top[i]:.2e} population in the top two "
+            f"levels at t={times[i]:.6g}; raise the cutoff"
+        )
 
-    Raises LeakageTooLarge at the first row where either trajectory keeps
-    more than _LEAKAGE_TOL population in the top two levels.
+
+def _checked_fidelity(raw_traj, h_eval, cutoff, psi0, times):
+    """Oracle states and per-row fidelity of the replayed ansatz.
+
+    The ansatz is replayed and leakage-checked before the oracle runs, so a
+    run that leaks there fails without paying for the oracle; the oracle
+    rows are checked afterwards.  Returns (oracle_states, fidelity).
     """
-    for name, states in (("oracle", oracle_states), ("ansatz", ansatz_states)):
-        top = np.array([fock.leakage(s) for s in states])
-        bad = np.flatnonzero(top > _LEAKAGE_TOL)
-        if bad.size:
-            i = bad[0]
-            raise LeakageTooLarge(
-                f"{name} state keeps {top[i]:.2e} population in the top two "
-                f"levels at t={times[i]:.6g}; raise the cutoff"
-            )
-    return np.array(
-        [fock.fidelity(a, o) for a, o in zip(ansatz_states, oracle_states)]
-    )
+    ansatz = _ansatz_states(raw_traj, cutoff, psi0)
+    _check_leakage("ansatz", times, ansatz)
+    oracle = _oracle_states(h_eval, psi0, times)
+    _check_leakage("oracle", times, oracle)
+    fid = np.array([fock.fidelity(a, o) for a, o in zip(ansatz, oracle)])
+    return oracle, fid
 
 
 def _linear_scenario(params, signal):
@@ -227,9 +235,7 @@ def _linear_scenario(params, signal):
         return h_free + complex(signal(t)).real * h_drive
 
     psi0 = fock.coherent_state(alpha, cutoff)
-    oracle = _oracle_states(h_eval, psi0, times)
-    ansatz = _ansatz_states(traj, cutoff, psi0)
-    fid = _checked_fidelity(times, oracle, ansatz)
+    _, fid = _checked_fidelity(traj, h_eval, cutoff, psi0, times)
     columns = {
         "t": times,
         "ReF0": traj.values[0].real,
@@ -272,9 +278,7 @@ def _quadratic_scenario(params, lam_signal):
         return h_free + lam * h_up + np.conj(lam) * h_dn
 
     psi0 = fock.coherent_state(alpha, cutoff)
-    oracle = _oracle_states(h_eval, psi0, times)
-    ansatz = _ansatz_states(traj.raw, cutoff, psi0)
-    fid = _checked_fidelity(times, oracle, ansatz)
+    oracle, fid = _checked_fidelity(traj.raw, h_eval, cutoff, psi0, times)
 
     x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
     x = np.array([fock.expectation(x_mat, s).real for s in oracle])
@@ -318,9 +322,7 @@ def run_gaussian_combined(params):
              + params["lm"] * a_mat @ a_mat
              + params["g0"] * (a_mat.conj().T + a_mat))
     psi0 = fock.coherent_state(alpha, cutoff)
-    oracle = _oracle_states(h_mat, psi0, times)
-    ansatz = _ansatz_states(traj.raw, cutoff, psi0)
-    fid = _checked_fidelity(times, oracle, ansatz)
+    oracle, fid = _checked_fidelity(traj.raw, h_mat, cutoff, psi0, times)
 
     x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
     x = np.array([fock.expectation(x_mat, s).real for s in oracle])

@@ -10,21 +10,32 @@ holds in a neighbourhood of t = 0 with scalar coefficient functions obtained
 from the linear systems G(t) = Xi(F) dF/dt.  Column j of the transfer matrix
 Xi collects the basis coordinates of H_j conjugated by the factors that stand
 to its left in the ansatz, computed here through exponentials of the
-adjoint-representation matrices.
+adjoint-representation matrices M_j.
+
+Each factor is expanded once, when the problem is built, as
+exp(-i f M_j) = sum_k c_jk(f) B_jk: a nilpotent M_j keeps its powers
+(c_k = (-i f)^k / k!, exact), a safely diagonalisable one its rank-one
+spectral projectors (c_k = exp(-i f w_k)).  Building Xi is then one batched
+product of the coefficients with that table plus the prefix products of
+the factors; an adjoint of neither kind falls back to matrix_exp on every
+build.  The same builder takes a stack of coefficient vectors, so the
+|det Xi| diagnostic on the output grid is one stacked pass.
 
 The coefficient ODEs are integrated with an embedded Dormand-Prince 5(4)
 pair.  |det Xi| is monitored relative to its Hadamard bound; the solver fails
-loudly when the parameterisation leaves its validity neighbourhood.
+loudly when the parameterisation leaves its validity neighbourhood, and a
+non-finite drive value or coefficient raises NonFinite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import ladder
-from .errors import StepUnderflow, XiSingular
+from .errors import NonFinite, StepUnderflow, XiSingular
 from .signals import ZERO, as_signal
 
 MAX_DIM = 64
@@ -64,36 +75,85 @@ def matrix_exp(a):
     return out
 
 
-class _FactorExp:
-    """Evaluator for exp(-i f M) with M fixed and f varying.
+def _factor_terms(m):
+    """Terms of exp(-i f M) = sum_k c_k(f) B_k, fixed once per factor.
 
-    Uses a cached eigendecomposition when M is safely diagonalisable, the
-    series exponential otherwise (nilpotent adjoints terminate exactly).
+    Returns ``(p, w, B)`` with c_k(f) = (-i f)^p_k / p_k! * exp(-i f w_k):
+    when M^q = 0 exactly for some q <= n, B holds the powers M^0..M^(q-1)
+    (p_k = k, w_k = 0; no truncation); when M is safely diagonalisable, B
+    holds its rank-one spectral projectors (p_k = 0, w_k its eigenvalues).
+    Returns None otherwise: such a factor goes through matrix_exp.
+    """
+    m = np.asarray(m, dtype=complex)
+    n = m.shape[0]
+    powers = [np.eye(n, dtype=complex)]
+    while len(powers) <= n:
+        nxt = powers[-1] @ m
+        if not np.any(nxt):
+            q = len(powers)
+            return np.arange(q), np.zeros(q), np.array(powers)
+        powers.append(nxt)
+    try:
+        w, v = np.linalg.eig(m)
+        vinv = np.linalg.inv(v)
+    except np.linalg.LinAlgError:
+        return None
+    recon = (v * w) @ vinv
+    if (np.max(np.abs(recon - m)) <= 1e-13 * max(1.0, np.max(np.abs(m)))
+            and np.linalg.cond(v) < 1e8):
+        return np.zeros(n, dtype=int), w, np.einsum("ik,kj->kij", v, vinv)
+    return None
+
+
+class _XiBuilder:
+    """Xi(F) for one structure, from per-factor terms expanded once.
+
+    Only the first n - 1 factors enter Xi.  Their terms (``_factor_terms``)
+    are stacked, zero padded, into one table.  Every factor exponential is
+    then one batched product of the coefficients with the table, and Xi
+    follows from the n - 2 prefix products.  Works on one F (shape (n,)) or
+    a stack (m, n).
     """
 
-    def __init__(self, m):
-        self.m = np.asarray(m, dtype=complex)
-        self._eig = None
-        if np.linalg.norm(self.m, np.inf) > 0:
-            try:
-                w, v = np.linalg.eig(self.m)
-                vinv = np.linalg.inv(v)
-                recon = (v * w) @ vinv
-                ok = (
-                    np.max(np.abs(recon - self.m))
-                    <= 1e-13 * max(1.0, np.max(np.abs(self.m)))
-                    and np.linalg.cond(v) < 1e8
-                )
-                if ok:
-                    self._eig = (w, v, vinv)
-            except np.linalg.LinAlgError:
-                pass
+    def __init__(self, adjoints):
+        self.n = n = len(adjoints)
+        factors = [_factor_terms(m) for m in adjoints[: n - 1]]
+        width = max([len(fac[0]) for fac in factors if fac is not None],
+                    default=1)
+        self._powers = np.zeros((n - 1, width), dtype=int)
+        self._rates = np.zeros((n - 1, width), dtype=complex)
+        terms = np.zeros((n - 1, width, n, n), dtype=complex)
+        self._series = []
+        for j, fac in enumerate(factors):
+            if fac is None:
+                self._series.append((j, adjoints[j]))
+                continue
+            q = len(fac[0])
+            self._powers[j, :q], self._rates[j, :q], terms[j, :q] = fac
+        self._inv_factorials = 1.0 / np.vectorize(math.factorial)(self._powers)
+        self._terms = terms.reshape(n - 1, width, n * n)
 
     def __call__(self, f):
-        if self._eig is None:
-            return matrix_exp(-1j * f * self.m)
-        w, v, vinv = self._eig
-        return (v * np.exp(-1j * f * w)) @ vinv
+        f = np.asarray(f, dtype=complex)
+        n = self.n
+        batch = f.shape[:-1]
+        xi = np.zeros(batch + (n, n), dtype=complex)
+        xi[..., 0, 0] = 1.0
+        if n == 1:
+            return xi
+        z = -1j * f[..., : n - 1, None]
+        coeffs = z ** self._powers * np.exp(z * self._rates) * self._inv_factorials
+        exps = (coeffs[..., None, :] @ self._terms).reshape(batch + (n - 1, n, n))
+        for j, m in self._series:
+            exps[..., j, :, :] = np.reshape(
+                [matrix_exp(-1j * fj * m) for fj in f[..., j].ravel()],
+                batch + (n, n))
+        left = exps[..., 0, :, :]
+        xi[..., :, 1] = left[..., :, 1]
+        for j in range(2, n):
+            left = left @ exps[..., j - 1, :, :]
+            xi[..., :, j] = left[..., :, j]
+        return xi
 
 
 def xi_matrix(structure, f, ordering=None):
@@ -108,27 +168,17 @@ def xi_matrix(structure, f, ordering=None):
         perm = list(ordering)
         c = c[np.ix_(perm, perm, perm)]
         f = np.asarray(f, dtype=complex)[perm]
-    adjoints = ladder.adjoint_matrices(c)
-    return _xi_from_adjoints([_FactorExp(m) for m in adjoints], np.asarray(f, complex))
-
-
-def _xi_from_adjoints(factor_exps, f):
-    n = len(f)
-    xi = np.empty((n, n), dtype=complex)
-    left = np.eye(n, dtype=complex)
-    xi[:, 0] = left[:, 0]
-    for j in range(1, n):
-        left = left @ factor_exps[j - 1](f[j - 1])
-        xi[:, j] = left[:, j]
-    return xi
+    return _XiBuilder(ladder.adjoint_matrices(c))(f)
 
 
 def _det_ratio(xi):
-    """|det Xi| relative to its Hadamard bound (product of row norms)."""
-    scale = float(np.prod(np.linalg.norm(xi, axis=1)))
-    if scale == 0.0 or not np.isfinite(scale):
-        return 0.0
-    return float(abs(np.linalg.det(xi)) / scale)
+    """|det Xi| relative to its Hadamard bound (product of row norms).
+
+    Takes one matrix or a stack; a zero or non-finite bound gives 0.
+    """
+    scale = np.prod(np.linalg.norm(xi, axis=-1), axis=-1)
+    ok = (scale != 0.0) & np.isfinite(scale)
+    return np.where(ok, np.abs(np.linalg.det(xi)) / np.where(ok, scale, 1.0), 0.0)
 
 
 class DecouplingProblem:
@@ -163,7 +213,7 @@ class DecouplingProblem:
         self.t_final = float(t_final)
         self.structure = ladder.structure_constants(basis)
         self.adjoints = ladder.adjoint_matrices(self.structure)
-        self._factor_exps = [_FactorExp(m) for m in self.adjoints]
+        self._xi = _XiBuilder(self.adjoints)
 
     @property
     def dim(self):
@@ -173,15 +223,22 @@ class DecouplingProblem:
         return np.array([s(t) for s in self.signals], dtype=complex)
 
     def xi(self, f):
-        return _xi_from_adjoints(self._factor_exps, np.asarray(f, dtype=complex))
+        """Xi(F) for one coefficient vector, or a stack of them (m, n)."""
+        return self._xi(f)
 
     def rhs(self, t, f):
-        """dF/dt solving Xi(F) dF = G(t) by pivoted linear solve."""
+        """dF/dt solving Xi(F) dF = G(t) by pivoted linear solve.
+
+        Raises NonFinite when F or G(t) holds a NaN or infinite entry.
+        """
+        g = self.g_vector(t)
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise NonFinite(t)
         xi = self.xi(f)
-        ratio = _det_ratio(xi)
+        ratio = float(_det_ratio(xi))
         if ratio < DET_RATIO_FLOOR:
             raise XiSingular(t, ratio)
-        return np.linalg.solve(xi, self.g_vector(t))
+        return np.linalg.solve(xi, g)
 
 
 @dataclass
@@ -327,9 +384,9 @@ def integrate(problem, rtol=1e-10, atol=1e-12, times=None, n_out=129):
     values, accepted, rejected = rk45_on_grid(
         problem.rhs, times, y0, rtol, atol, T, retry_singular=True
     )
+    # Xi at every output point in one stacked build.
+    det_ratio = _det_ratio(problem._xi(values))
     values = values.T.copy()
-    det_ratio = np.array([_det_ratio(problem.xi(values[:, i]))
-                          for i in range(len(times))])
     return CoefficientTrajectory(
         times=times,
         values=values,

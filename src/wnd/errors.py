@@ -74,3 +74,11 @@ class TraceDrift(WndError):
 
 class NonHermitian(WndError, ValueError):
     """A Hamiltonian handed to the Fock oracle is not Hermitian."""
+
+
+class NonFinite(WndError, ValueError):
+    """A drive value or decoupling coefficient became NaN or infinite."""
+
+    def __init__(self, time):
+        super().__init__(f"non-finite drive or coefficient at t={time:.6g}")
+        self.time = time

@@ -144,6 +144,23 @@ class TestRunCommand:
         assert "t=" in err
         assert not out.exists()
 
+    def test_ansatz_leak_stops_before_oracle(self, tmp_path, capsys,
+                                             monkeypatch):
+        # The ansatz of this full-span run leaks at t=1.65; the oracle,
+        # which costs most of a run, must not start.
+        calls = []
+        real = cli._oracle_states
+        monkeypatch.setattr(cli, "_oracle_states",
+                            lambda *args: calls.append(args) or real(*args))
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "quadratic-parametric", "l0=0.6",
+                        "--out", str(out)]) == 3
+        assert "ansatz state" in capsys.readouterr().err
+        assert calls == []
+        assert run_cli(["run", "quadratic-parametric", "T=1.5", "n_out=5",
+                        "cutoff=24", "--out", str(out)]) == 0
+        assert len(calls) == 1
+
     def test_dt_out_controls_grid(self, tmp_path):
         out = tmp_path / "c.csv"
         code = run_cli(["run", "linear-constant", "T=2.0", "cutoff=24",

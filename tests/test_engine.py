@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wnd import engine, fock, gaussian, ladder
 from wnd.engine import DecouplingProblem, integrate, matrix_exp, xi_matrix
-from wnd.errors import StepUnderflow, XiSingular
+from wnd.errors import NonFinite, StepUnderflow, WndError, XiSingular
 from wnd.ladder import LieBasis, structure_constants
 from wnd.signals import Constant, Hook, Sinusoid
 
@@ -75,6 +76,86 @@ class TestXiMatrix:
         direct = xi_matrix(c_perm, f[perm])
         via_arg = xi_matrix(c, f, ordering=perm)
         np.testing.assert_allclose(direct, via_arg, atol=1e-13)
+
+
+def _xi_reference(adjoints, f):
+    """Xi column by column from scipy.linalg.expm of the adjoint matrices."""
+    n = len(f)
+    xi = np.empty((n, n), dtype=complex)
+    left = np.eye(n, dtype=complex)
+    for j in range(n):
+        xi[:, j] = left[:, j]
+        left = left @ scipy.linalg.expm(-1j * f[j] * adjoints[j])
+    return xi
+
+
+GAUSSIAN_BASES = {
+    "linear": gaussian.linear_basis(),
+    "su11": gaussian.su11_basis(),
+    "combined": gaussian.combined_basis(),
+    "two-mode": ladder.close_algebra([ladder.parse_polynomial(g, n_modes=2)
+                                      for g in ("ad*b + a*bd", "ad*a")]),
+}
+
+
+class TestXiTable:
+    @pytest.mark.parametrize("name", list(GAUSSIAN_BASES))
+    def test_matches_expm_reference(self, name):
+        basis = GAUSSIAN_BASES[name]
+        prob = DecouplingProblem(basis, [Constant(1.0)], 1.0)
+        rng = np.random.default_rng(11)
+        fs = 0.8 * (rng.normal(size=(6, len(basis)))
+                    + 1j * rng.normal(size=(6, len(basis))))
+        refs = np.array([_xi_reference(prob.adjoints, f) for f in fs])
+        for f, ref in zip(fs, refs):
+            np.testing.assert_allclose(prob.xi(f), ref, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(xi_matrix(prob.structure, f), ref,
+                                       rtol=0, atol=1e-12)
+        # A stack of coefficient vectors gives the stack of matrices.
+        np.testing.assert_allclose(prob.xi(fs), refs, rtol=0, atol=1e-12)
+
+    def test_gaussian_integrate_never_calls_matrix_exp(self, monkeypatch):
+        calls = []
+        real = engine.matrix_exp
+        monkeypatch.setattr(engine, "matrix_exp",
+                            lambda a: calls.append(a) or real(a))
+        sig = Sinusoid(0.2, 1.0, 0.3)
+        integrate(gaussian.linear_problem(sig, sig, 3.0), n_out=31)
+        gaussian.quadratic_coefficients(sig, sig, 3.0, n_out=31)
+        gaussian.gaussian_combined(sig, sig, sig, sig, 3.0, n_out=31)
+        assert calls == []
+
+    def test_batched_det_ratio_matches_per_point(self):
+        sig = Sinusoid(0.3, 2.0, 0.1)
+        prob = DecouplingProblem(
+            gaussian.combined_basis(),
+            [Constant(0.2), Constant(2.0), Constant(0.2), sig, sig, Constant(-0.5)],
+            2.0,
+        )
+        traj = integrate(prob, n_out=41)
+        per_point = [float(engine._det_ratio(prob.xi(traj.values[:, i])))
+                     for i in range(len(traj.times))]
+        np.testing.assert_array_equal(traj.det_ratio, per_point)
+
+    def test_series_fallback_for_defective_adjoint(self, monkeypatch):
+        # M_0 = 0.7 I + J (a 2x2 Jordan block beside a zero row): neither
+        # nilpotent nor diagonalisable, so it takes matrix_exp per call.
+        m0 = np.array([[0.7, 1.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.0]])
+        m1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        c = np.zeros((3, 3, 3), dtype=complex)
+        c[0], c[1] = m0.T, m1.T
+        assert engine._factor_terms(m0) is None
+        calls = []
+        real = engine.matrix_exp
+        monkeypatch.setattr(engine, "matrix_exp",
+                            lambda a: calls.append(a) or real(a))
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            f = rng.normal(size=3) + 1j * rng.normal(size=3)
+            np.testing.assert_allclose(
+                xi_matrix(c, f), _xi_reference([m0, m1, c[2].T], f),
+                rtol=0, atol=1e-12)
+        assert len(calls) == 4
 
 
 class TestDecouplingRhs:
@@ -212,6 +293,16 @@ class TestIntegrate:
         )
         with pytest.raises((StepUnderflow, XiSingular)):
             integrate(prob, n_out=41)
+
+    def test_non_finite_drive_raises_typed_error(self):
+        prob = gaussian.linear_problem(
+            Hook(lambda t: np.nan if t > 0.5 else 0.1), Constant(0.1), 2.0
+        )
+        with pytest.raises(NonFinite) as err:
+            integrate(prob, n_out=21)
+        assert isinstance(err.value, WndError)
+        assert isinstance(err.value, ValueError)
+        assert 0.5 < err.value.time <= 0.7
 
     def test_output_grid_validation(self):
         prob = gaussian.linear_problem(Constant(0.1), Constant(0.1), 1.0)
