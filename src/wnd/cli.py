@@ -13,8 +13,12 @@ defaults < config file (flat ``key = value`` lines) < inline key=value
 arguments < explicit flags.  The default output directory is taken from the
 WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure (the failure time is printed when available),
-including leakage: an oracle or ansatz row with more than 1e-8 population
-in the top two Fock levels.  The ansatz is checked before the oracle runs.
+including leakage: an oracle or ansatz row with more than 1e-8 of its norm
+squared in the top two Fock levels, or with no norm left.  The ansatz is
+checked before the oracle runs.
+
+Each unitary scenario is one row of ``UNITARY_SCENARIOS``; the oracle's H(t)
+is derived from the row's engine problem, never written by hand.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
 fidelity, detXi`` as applicable per scenario; values are written with 17
@@ -25,6 +29,7 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -181,21 +186,26 @@ def _ansatz_states(raw_traj, cutoff, psi0):
     return states
 
 
-# Top-two-level population allowed on any oracle or ansatz row: the
-# tightest fidelity floor a run is checked against.
+# Share of a row's population allowed in its top two Fock levels, on any
+# oracle or ansatz row: the tightest fidelity floor a run is checked against.
 _LEAKAGE_TOL = 1e-8
 
 
 def _check_leakage(name, times, states):
     """Raise LeakageTooLarge at the first row of ``states`` that keeps more
-    than _LEAKAGE_TOL population in the top two levels."""
+    than _LEAKAGE_TOL of its norm squared in the top two levels.  A row
+    whose ratio is not a number (a collapsed, zero-norm state) fails too."""
     top = np.array([fock.leakage(s) for s in states])
-    bad = np.flatnonzero(top > _LEAKAGE_TOL)
+    norm_sq = np.sum(np.abs(states) ** 2, axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = top / norm_sq
+    bad = np.flatnonzero(~(ratio <= _LEAKAGE_TOL))
     if bad.size:
         i = bad[0]
         raise LeakageTooLarge(
-            f"{name} state keeps {top[i]:.2e} population in the top two "
-            f"levels at t={times[i]:.6g}; raise the cutoff"
+            f"{name} state keeps {top[i]:.2e} of its norm squared "
+            f"{norm_sq[i]:.2e} in the top two levels at t={times[i]:.6g}; "
+            "raise the cutoff"
         )
 
 
@@ -214,126 +224,63 @@ def _checked_fidelity(raw_traj, h_eval, cutoff, psi0, times):
     return oracle, fid
 
 
-def _linear_scenario(params, signal):
+# One row per unitary scenario: the engine problem built from the
+# parameters; the rows of the coefficient trajectory written as F0, F+ and
+# F-; and whether X/P are the closed-form linear-drive means
+# (gaussian.quadrature_expectation of the decoupled F+-) rather than means
+# over the oracle states.  The oracle's H(t) is derived from the same
+# problem by fock.oracle_hamiltonian.
+UNITARY_SCENARIOS = {
+    "linear-constant": (
+        lambda p: gaussian.linear_problem(g := Constant(p["g0"]), g, p["T"]),
+        (0, 1, 2), True),
+    "linear-resonant": (
+        lambda p: gaussian.linear_problem(
+            g := Sinusoid(p["g0"], 1.0, p["phi"]), g, p["T"]),
+        (0, 1, 2), True),
+    "quadratic-constant": (
+        lambda p: gaussian.quadratic_problem(
+            Constant(p["lp"]), Constant(p["lm"]), p["T"]),
+        (1, 0, 2), False),
+    "quadratic-parametric": (
+        lambda p: gaussian.quadratic_problem(
+            lam := Sinusoid(p["l0"], p["freq"]), lam, p["T"]),
+        (1, 0, 2), False),
+    "gaussian-combined": (
+        lambda p: gaussian.combined_problem(
+            g := Constant(p["g0"]), g, Constant(p["lp"]), Constant(p["lm"]),
+            p["T"]),
+        (1, 3, 4), False),
+}
+
+
+def _unitary_scenario(scenario, params):
+    build, f_rows, closed_form = UNITARY_SCENARIOS[scenario]
     cutoff = params["cutoff"]
     alpha = params["alpha"]
     times = np.linspace(0.0, params["T"], params["n_out"])
-
-    problem = gaussian.linear_problem(signal, signal, params["T"])
+    problem = build(params)
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
-    coeffs = gaussian.LinearDriveCoefficients(
-        times=times, f0=times, f_plus=traj.values[1], f_minus=traj.values[2]
-    )
-    x, p = gaussian.quadrature_expectation(alpha, coeffs)
-
-    a_mat = fock.destroy(cutoff)
-    h_free = fock.number_op(cutoff)
-    h_drive = a_mat.conj().T + a_mat
-
-    def h_eval(t):
-        return h_free + complex(signal(t)).real * h_drive
+    f0, f_plus, f_minus = (traj.values[i] for i in f_rows)
 
     psi0 = fock.coherent_state(alpha, cutoff)
-    _, fid = _checked_fidelity(traj, h_eval, cutoff, psi0, times)
+    oracle, fid = _checked_fidelity(
+        traj, fock.oracle_hamiltonian(problem, cutoff), cutoff, psi0, times)
+    if closed_form:
+        x, p = gaussian.quadrature_expectation(alpha, gaussian.LinearDriveCoefficients(
+            times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
+    else:
+        x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
+        x = np.array([fock.expectation(x_mat, s).real for s in oracle])
+        p = np.array([fock.expectation(p_mat, s).real for s in oracle])
     columns = {
         "t": times,
-        "ReF0": traj.values[0].real,
-        "ReF+": traj.values[1].real,
-        "ImF+": traj.values[1].imag,
-        "ReF-": traj.values[2].real,
-        "ImF-": traj.values[2].imag,
-        "X": x,
-        "P": p,
-        "fidelity": fid,
-        "detXi": traj.det_ratio,
-    }
-    return columns, float(np.min(fid))
-
-
-def run_linear_constant(params):
-    return _linear_scenario(params, Constant(params["g0"]))
-
-
-def run_linear_resonant(params):
-    return _linear_scenario(params, Sinusoid(params["g0"], 1.0, params["phi"]))
-
-
-def _quadratic_scenario(params, lam_signal):
-    cutoff = params["cutoff"]
-    alpha = params["alpha"]
-    times = np.linspace(0.0, params["T"], params["n_out"])
-    traj = gaussian.quadratic_coefficients(
-        lam_signal, lam_signal, params["T"], rtol=params["rtol"],
-        atol=params["atol"], times=times,
-    )
-
-    a_mat = fock.destroy(cutoff)
-    h_free = fock.number_op(cutoff)
-    h_up = a_mat.conj().T @ a_mat.conj().T
-    h_dn = a_mat @ a_mat
-
-    def h_eval(t):
-        lam = complex(lam_signal(t))
-        return h_free + lam * h_up + np.conj(lam) * h_dn
-
-    psi0 = fock.coherent_state(alpha, cutoff)
-    oracle, fid = _checked_fidelity(traj.raw, h_eval, cutoff, psi0, times)
-
-    x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
-    x = np.array([fock.expectation(x_mat, s).real for s in oracle])
-    p = np.array([fock.expectation(p_mat, s).real for s in oracle])
-    columns = {
-        "t": times,
-        "ReF0": traj.xi_zero.real,
-        "ReF+": traj.xi_plus.real,
-        "ImF+": traj.xi_plus.imag,
-        "ReF-": traj.xi_minus.real,
-        "ImF-": traj.xi_minus.imag,
-        "X": x,
-        "P": p,
-        "fidelity": fid,
-        "detXi": traj.det_ratio,
-    }
-    return columns, float(np.min(fid))
-
-
-def run_quadratic_constant(params):
-    return _quadratic_scenario(params, Constant(params["lp"]))
-
-
-def run_quadratic_parametric(params):
-    return _quadratic_scenario(params, Sinusoid(params["l0"], params["freq"]))
-
-
-def run_gaussian_combined(params):
-    cutoff = params["cutoff"]
-    alpha = params["alpha"]
-    times = np.linspace(0.0, params["T"], params["n_out"])
-    g_sig = Constant(params["g0"])
-    traj = gaussian.gaussian_combined(
-        g_sig, g_sig, Constant(params["lp"]), Constant(params["lm"]),
-        params["T"], rtol=params["rtol"], atol=params["atol"], times=times,
-    )
-
-    a_mat = fock.destroy(cutoff)
-    h_mat = (fock.number_op(cutoff)
-             + params["lp"] * a_mat.conj().T @ a_mat.conj().T
-             + params["lm"] * a_mat @ a_mat
-             + params["g0"] * (a_mat.conj().T + a_mat))
-    psi0 = fock.coherent_state(alpha, cutoff)
-    oracle, fid = _checked_fidelity(traj.raw, h_mat, cutoff, psi0, times)
-
-    x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
-    x = np.array([fock.expectation(x_mat, s).real for s in oracle])
-    p = np.array([fock.expectation(p_mat, s).real for s in oracle])
-    columns = {
-        "t": times,
-        "ReF0": traj.xi_zero.real,
-        "ReF+": traj.f_plus.real,
-        "ImF+": traj.f_plus.imag,
-        "ReF-": traj.f_minus.real,
-        "ImF-": traj.f_minus.imag,
+        "ReF0": f0.real,
+        "ReF+": f_plus.real,
+        "ImF+": f_plus.imag,
+        "ReF-": f_minus.real,
+        "ImF-": f_minus.imag,
         "X": x,
         "P": p,
         "fidelity": fid,
@@ -376,11 +323,8 @@ def run_open_damped(params):
 
 
 SCENARIO_RUNNERS = {
-    "linear-constant": run_linear_constant,
-    "linear-resonant": run_linear_resonant,
-    "quadratic-constant": run_quadratic_constant,
-    "quadratic-parametric": run_quadratic_parametric,
-    "gaussian-combined": run_gaussian_combined,
+    **{name: functools.partial(_unitary_scenario, name)
+       for name in UNITARY_SCENARIOS},
     "open-damped": run_open_damped,
 }
 

@@ -261,13 +261,6 @@ class CoefficientTrajectory:
     def final(self):
         return self.values[:, -1]
 
-    def at(self, t, tol=1e-12):
-        """Coefficient vector at an exact grid time."""
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > tol * max(1.0, abs(t)):
-            raise KeyError(f"t={t} is not on the output grid")
-        return self.values[:, i]
-
 
 # Dormand-Prince 5(4) tableau.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])

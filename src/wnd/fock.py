@@ -12,8 +12,12 @@ distinct H.  :func:`propagate_state` acts on the state instead: each
 sub-step applies exp(-i H dt) to psi by a Taylor series scaled into
 ceil(dt ||H||_1) pieces of norm <= 1, so a time-dependent H is not
 diagonalised and no dense step matrix is formed; a repeated H (a constant
-drive) reuses its eigen step matrix instead.  The oracle shares no code
-with the ansatz replay below.
+drive) reuses its eigen step matrix instead.  Both, and the density
+propagator in ``liouville``, run one grid-landing midpoint loop and one
+step-halving loop.  :func:`oracle_hamiltonian` derives the oracle's H(t)
+from a decoupling problem.  The oracle's stepping shares no code with the
+ansatz replay below; both take their Fock images from :func:`to_matrix`,
+which the tests pin against matrices built from :func:`destroy`.
 
 The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
 ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
@@ -41,6 +45,7 @@ import scipy.sparse.linalg
 from scipy.special import gammaln
 
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
+from .signals import Constant
 
 
 def destroy(cutoff):
@@ -112,6 +117,37 @@ def to_matrix(poly, cutoff):
             term = np.kron(term, m)
         out += coeff * term
     return out
+
+
+def oracle_hamiltonian(problem, cutoff):
+    """H(t) = sum_j G_j(t) to_matrix(H_j, cutoff) of a decoupling problem.
+
+    ``problem`` supplies ``basis`` and ``signals`` (a
+    ``engine.DecouplingProblem``).  The images of elements with a
+    ``Constant`` signal are summed once, as are those of elements that share
+    one signal object; the rest is added at each evaluation.  Returns the
+    matrix itself when every signal is constant, else a callable t -> H(t),
+    the two forms :func:`propagate_state` takes.
+    """
+    const = 0.0
+    varying = {}
+    for sig, elem in zip(problem.signals, problem.basis):
+        mat = to_matrix(elem, cutoff)
+        if isinstance(sig, Constant):
+            const = const + sig.value * mat
+        else:
+            varying[sig] = varying.get(sig, 0.0) + mat
+    if not varying:
+        return const
+    terms = list(varying.items())
+
+    def h_eval(t):
+        h = const
+        for sig, mat in terms:
+            h = h + sig(t) * mat
+        return h
+
+    return h_eval
 
 
 def is_hermitian(mat, tol=1e-12):
@@ -254,15 +290,50 @@ class _MidpointStepper:
         return _taylor_exp_action(self._h, dt, psi, max(1, int(np.ceil(reach))))
 
 
+def _sub_steps(times, dt_target):
+    """Sub-steps per output interval: the fewest of size <= dt_target."""
+    return [max(1, int(np.ceil(w / dt_target - 1e-12))) for w in np.diff(times)]
+
+
+def _midpoint_pass(step, x0, times, counts):
+    """x <- step(t_mid, dt, x) over equal sub-steps landing on every grid
+    time; interval i is cut into counts[i] of them.  Returns the states at
+    ``times``, x0 first."""
+    x = x0
+    out = [x0]
+    for lo, hi, n_sub in zip(times[:-1], times[1:], counts):
+        dt = (hi - lo) / n_sub
+        for j in range(n_sub):
+            x = step(lo + (j + 0.5) * dt, dt, x)
+        out.append(x)
+    return out
+
+
+def _refine(run, endpoint, tol, max_refinements, what):
+    """run(1), run(2), run(4), ... (the argument divides the step) until the
+    ``endpoint`` of successive results moves by at most ``tol`` (max-abs);
+    returns the finer result.  Raises NonConvergent after
+    ``max_refinements`` halvings."""
+    prev = run(1)
+    for k in range(1, max_refinements + 1):
+        nxt = run(2 ** k)
+        if float(np.max(np.abs(endpoint(nxt) - endpoint(prev)))) <= tol:
+            return nxt
+        prev = nxt
+    raise NonConvergent(
+        f"{what} did not settle within {max_refinements} step halvings"
+    )
+
+
 def _time_ordered(h_eval, t0, t1, n_steps):
     stepper = _MidpointStepper()
-    dt = (t1 - t0) / n_steps
+
+    def step(mid, dt, u):
+        return stepper.step_matrix(h_eval(mid), dt) @ u
+
     dim = h_eval(t0).shape[0]
-    u = np.eye(dim, dtype=complex)
-    for i in range(n_steps):
-        mid = t0 + (i + 0.5) * dt
-        u = stepper.step_matrix(h_eval(mid), dt) @ u
-    return u
+    u0 = np.eye(dim, dtype=complex)
+    return _midpoint_pass(step, u0, (t0, t1), [n_steps])[-1]
 
 
 def propagate(hamiltonian, span, dt=None, drift_tol=1e-9, max_refinements=12):
@@ -284,34 +355,8 @@ def propagate(hamiltonian, span, dt=None, drift_tol=1e-9, max_refinements=12):
     if dt > width / 100.0:
         raise ValueError("dt must be at most span/100")
     n = max(100, int(np.ceil(width / dt)))
-
-    u_prev = _time_ordered(h_eval, t0, t1, n)
-    for _ in range(max_refinements):
-        n *= 2
-        u_next = _time_ordered(h_eval, t0, t1, n)
-        drift = float(np.max(np.abs(u_next - u_prev)))
-        if drift <= drift_tol:
-            return u_next
-        u_prev = u_next
-    raise NonConvergent(
-        f"midpoint refinement hit {max_refinements} halvings with drift > {drift_tol}"
-    )
-
-
-def _state_run(h_eval, psi0, times, dt_target):
-    stepper = _MidpointStepper()
-    out = np.empty((len(times), psi0.shape[0]), dtype=complex)
-    out[0] = psi0
-    psi = psi0.astype(complex)
-    for i in range(1, len(times)):
-        lo, hi = times[i - 1], times[i]
-        n_sub = max(1, int(np.ceil((hi - lo) / dt_target - 1e-12)))
-        dt = (hi - lo) / n_sub
-        for j in range(n_sub):
-            mid = lo + (j + 0.5) * dt
-            psi = stepper.step_state(h_eval(mid), dt, psi)
-        out[i] = psi
-    return out
+    return _refine(lambda scale: _time_ordered(h_eval, t0, t1, n * scale),
+                   lambda u: u, drift_tol, max_refinements, "midpoint propagator")
 
 
 def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
@@ -339,16 +384,17 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
     if dt > width / 100.0:
         raise ValueError("dt must be at most span/100")
 
-    prev = _state_run(h_eval, psi0, times, dt)
-    for _ in range(max_refinements):
-        dt /= 2.0
-        nxt = _state_run(h_eval, psi0, times, dt)
-        if float(np.max(np.abs(nxt[-1] - prev[-1]))) <= drift_tol:
-            return nxt
-        prev = nxt
-    raise NonConvergent(
-        f"state propagation did not settle within {max_refinements} halvings"
-    )
+    def run(scale):
+        stepper = _MidpointStepper()
+
+        def step(mid, sub_dt, psi):
+            return stepper.step_state(h_eval(mid), sub_dt, psi)
+
+        return np.array(_midpoint_pass(step, psi0, times,
+                                       _sub_steps(times, dt / scale)))
+
+    return _refine(run, lambda states: states[-1], drift_tol, max_refinements,
+                   "state propagation")
 
 
 def _is_diagonal(mat):

@@ -85,12 +85,6 @@ class LinearDriveCoefficients:
     f_plus: np.ndarray
     f_minus: np.ndarray
 
-    def at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise KeyError(f"t={t} is not on the grid")
-        return self.f0[i], self.f_plus[i], self.f_minus[i]
-
 
 def linear_coefficients(g_plus, g_minus, times):
     """Linear-drive coefficients F0 = t, F+- = int g+-(t') e^{+-i t'} dt'.
@@ -276,6 +270,16 @@ def oscillator_quadratic_constant(lam_plus, lam_minus, t):
     return coeff
 
 
+def quadratic_problem(lam_plus, lam_minus, t_final):
+    """Engine problem for the quadratic family, G = (2 l+, 2, 2 l-, -1/2)."""
+    return engine.DecouplingProblem(
+        su11_basis(),
+        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
+         Constant(-0.5)],
+        t_final,
+    )
+
+
 @dataclass
 class Su11Trajectory:
     """Quadratic-drive coefficients on a grid (ansatz order K+, K0, K-, 1)."""
@@ -302,12 +306,7 @@ def quadratic_coefficients(lam_plus, lam_minus, t_final, rtol=1e-10, atol=1e-12,
     no hidden normalisation.  XiSingular propagates from the engine when the
     coefficient parameterisation breaks down.
     """
-    problem = engine.DecouplingProblem(
-        su11_basis(),
-        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
-         Constant(-0.5)],
-        t_final,
-    )
+    problem = quadratic_problem(lam_plus, lam_minus, t_final)
     raw = engine.integrate(problem, rtol=rtol, atol=atol, times=times, n_out=n_out)
     return Su11Trajectory(
         times=raw.times,
@@ -338,6 +337,17 @@ def rotating_frame_drive(g_plus_vals, g_minus_vals, xi_plus, xi_zero, xi_minus):
     mu = gp * e - 1j * gm * np.asarray(xi_plus) * e
     nu = 1j * gp * np.asarray(xi_minus) * e + gm * (1.0 / e + np.asarray(xi_plus) * np.asarray(xi_minus) * e)
     return mu, nu
+
+
+def combined_problem(g_plus, g_minus, lam_plus, lam_minus, t_final):
+    """Engine problem for the combined family,
+    G = (2 l+, 2, 2 l-, g+, g-, -1/2)."""
+    return engine.DecouplingProblem(
+        combined_basis(),
+        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
+         as_signal(g_plus), as_signal(g_minus), Constant(-0.5)],
+        t_final,
+    )
 
 
 @dataclass
@@ -377,15 +387,9 @@ def gaussian_combined(g_plus, g_minus, lam_plus, lam_minus, t_final,
     five-factor product exp(-i xi+ K+) exp(-i xi0 K0) exp(-i xi- K-)
     exp(-i F+ a') exp(-i F- a), up to the recorded central phase.
     """
-    g_plus = as_signal(g_plus)
-    g_minus = as_signal(g_minus)
-    problem = engine.DecouplingProblem(
-        combined_basis(),
-        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
-         g_plus, g_minus, Constant(-0.5)],
-        t_final,
-    )
+    problem = combined_problem(g_plus, g_minus, lam_plus, lam_minus, t_final)
     raw = engine.integrate(problem, rtol=rtol, atol=atol, times=times, n_out=n_out)
+    g_plus, g_minus = problem.signals[3], problem.signals[4]
     mu, nu = rotating_frame_drive(
         g_plus(raw.times), g_minus(raw.times),
         raw.values[0], raw.values[1], raw.values[2],

@@ -37,7 +37,7 @@ import numpy as np
 import scipy.sparse
 
 from . import fock, ladder
-from .errors import NonConvergent, TraceDrift
+from .errors import TraceDrift
 
 
 def vectorize(mat):
@@ -180,20 +180,36 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
     if dt > T / 100.0:
         raise ValueError("dt must be at most span/100")
     n_steps = int(np.ceil(T / dt))
+    static = None if callable(generator) else _taylor_generator(generator)
 
-    traj = _run_density(generator, rho0, times, T, n_steps, trace_tol)
+    def run(scale):
+        herm_drift = trace_drift = 0.0
+
+        def step(t_mid, sub_dt, rho):
+            nonlocal herm_drift, trace_drift
+            op, norm = static or _taylor_generator(generator(t_mid))
+            # A non-finite norm takes one piece, whose series hits the term cap.
+            pieces = max(1, int(np.ceil(sub_dt * norm))) if np.isfinite(norm) else 1
+            rho = devectorize(fock._taylor_exp_action(op, sub_dt, vectorize(rho),
+                                                      pieces))
+            sym = 0.5 * (rho + rho.conj().T)
+            herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
+            tr = np.trace(sym)
+            trace_drift = max(trace_drift, abs(tr - 1.0))
+            if abs(tr - 1.0) > 100 * max(trace_tol, 1e-12):
+                raise TraceDrift(f"trace drifted to {tr:.12g} at t={t_mid:.6g}")
+            return sym
+
+        counts = fock._sub_steps(times, T / (n_steps * scale))
+        matrices = np.array(fock._midpoint_pass(step, rho0, times, counts))
+        return DensityTrajectory(times=times, matrices=matrices,
+                                 trace_drift=trace_drift,
+                                 hermiticity_drift=herm_drift)
+
     if not refine:
-        return traj
-    for _ in range(max_refinements):
-        n_steps *= 2
-        finer = _run_density(generator, rho0, times, T, n_steps, trace_tol)
-        drift = float(np.max(np.abs(finer.matrices[-1] - traj.matrices[-1])))
-        if drift <= trace_tol:
-            return finer
-        traj = finer
-    raise NonConvergent(
-        f"density propagation did not settle within {max_refinements} step halvings"
-    )
+        return run(1)
+    return fock._refine(run, lambda traj: traj.matrices[-1], trace_tol,
+                        max_refinements, "density propagation")
 
 
 def _taylor_generator(gen):
@@ -203,49 +219,6 @@ def _taylor_generator(gen):
     op.data *= 1j
     col_sums = np.bincount(op.indices, np.abs(op.data), op.shape[1])
     return op, float(col_sums.max())
-
-
-def _run_density(generator, rho0, times, T, n_steps, trace_tol):
-    dt_target = T / n_steps
-    static = None if callable(generator) else _taylor_generator(generator)
-
-    def step(t_mid, dt, vec):
-        op, norm = static or _taylor_generator(generator(t_mid))
-        # A non-finite norm takes one piece, whose series hits the term cap.
-        pieces = max(1, int(np.ceil(dt * norm))) if np.isfinite(norm) else 1
-        return fock._taylor_exp_action(op, dt, vec, pieces)
-
-    vec = vectorize(rho0)
-    dim = rho0.shape[0]
-    out = np.empty((len(times), dim, dim), dtype=complex)
-    out[0] = rho0
-
-    herm_drift = 0.0
-    trace_drift = 0.0
-    rho = rho0
-    for i in range(1, len(times)):
-        lo, hi = times[i - 1], times[i]
-        n_sub = max(1, int(np.ceil((hi - lo) / dt_target - 1e-12)))
-        dt = (hi - lo) / n_sub
-        for j in range(n_sub):
-            t_mid = lo + (j + 0.5) * dt
-            vec = step(t_mid, dt, vec)
-            rho = devectorize(vec)
-            sym = 0.5 * (rho + rho.conj().T)
-            herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
-            rho = sym
-            tr = np.trace(rho)
-            trace_drift = max(trace_drift, abs(tr - 1.0))
-            if abs(tr - 1.0) > 100 * max(trace_tol, 1e-12):
-                raise TraceDrift(f"trace drifted to {tr:.12g} at t={t_mid:.6g}")
-            vec = vectorize(rho)
-        out[i] = rho
-    return DensityTrajectory(
-        times=times,
-        matrices=out,
-        trace_drift=trace_drift,
-        hermiticity_drift=herm_drift,
-    )
 
 
 # -- dissipative algebra closure ----------------------------------------------

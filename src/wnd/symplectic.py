@@ -60,12 +60,6 @@ class SymplecticTrajectory:
     def final(self):
         return self.matrices[-1]
 
-    def at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > 1e-12 * max(1.0, abs(t)):
-            raise KeyError(f"t={t} is not on the grid")
-        return self.matrices[i]
-
 
 def propagate_symplectic(lam_plus, lam_minus, t_final, rtol=1e-10, atol=1e-12,
                          times=None, n_out=129):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 from scipy.special import gammaln
 
-from wnd import engine, fock, gaussian, ladder
+from wnd import cli, engine, fock, gaussian, ladder
 from wnd.errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 from wnd.signals import Constant
 
@@ -335,6 +335,56 @@ class TestPropagateState:
         h_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitian):
             fock.propagate_state(lambda t: h_mat, [1.0, 0.0], [0.0, 1.0])
+
+
+class TestOracleHamiltonian:
+    """The oracle's H(t), derived from each CLI scenario's engine problem,
+    against the physical Hamiltonian built directly from ladder matrices.
+
+    This pins the basis coordinates (G = 2 l+, 2, 2 l-, -1/2 on su(1,1);
+    1, g, g, 0 on the linear basis) to the Hamiltonian they describe.
+    """
+
+    # Scenario -> (g(t), lam(t)) of H = n + g (ad + a) + lam ad^2 + conj(lam) a^2.
+    DRIVES = {
+        "linear-constant": lambda p: (lambda t: p["g0"], lambda t: 0.0),
+        "linear-resonant": lambda p: (
+            lambda t: p["g0"] * np.cos(t + p["phi"]), lambda t: 0.0),
+        "quadratic-constant": lambda p: (lambda t: 0.0, lambda t: p["lp"]),
+        "quadratic-parametric": lambda p: (
+            lambda t: 0.0, lambda t: p["l0"] * np.cos(p["freq"] * t)),
+        "gaussian-combined": lambda p: (lambda t: p["g0"], lambda t: p["lp"]),
+    }
+    RANGES = {"g0": (-0.5, 0.5), "phi": (0.0, 2 * np.pi), "lp": (-0.2, 0.2),
+              "l0": (-0.2, 0.2), "freq": (0.5, 3.0)}
+
+    @staticmethod
+    def _draw(scenario, seed):
+        rng = np.random.default_rng(seed)
+        defaults = cli.SCENARIO_DEFAULTS[scenario]
+        drawn = {key: rng.uniform(*bounds)
+                 for key, bounds in TestOracleHamiltonian.RANGES.items()
+                 if key in defaults}
+        if "lm" in defaults:
+            drawn["lm"] = drawn["lp"]
+        drawn["T"] = rng.uniform(1.0, 10.0)
+        return [f"{key}={value!r}" for key, value in drawn.items()]
+
+    @pytest.mark.parametrize("draw", [None, 611], ids=["defaults", "seeded"])
+    @pytest.mark.parametrize("scenario", sorted(DRIVES))
+    def test_matches_hand_built_hamiltonian(self, scenario, draw):
+        assignments = [] if draw is None else self._draw(scenario, draw)
+        params = cli.resolve_params(scenario, assignments=assignments)
+        cutoff = params["cutoff"]
+        build = cli.UNITARY_SCENARIOS[scenario][0]
+        derived = fock.oracle_hamiltonian(build(params), cutoff)
+        g, lam = self.DRIVES[scenario](params)
+        want = _driven_hamiltonian(cutoff, g, lam)
+        # Only the driven scenarios need an H per time.
+        assert callable(derived) == scenario.endswith(("resonant", "parametric"))
+        for t in np.linspace(0.0, params["T"], 23):
+            got = derived(t) if callable(derived) else derived
+            assert np.max(np.abs(got - want(t))) <= 1e-12
 
 
 class TestApplyAnsatz:
