@@ -54,7 +54,7 @@ a = fock.destroy(cutoff)
 h_free, h_up, h_dn = fock.number_op(cutoff), a.conj().T @ a.conj().T, a @ a
 h = lambda t: h_free + complex(lam_t(t)).real * (h_up + h_dn)
 psi0 = fock.coherent_state(0.0, cutoff)
-states = fock.propagate_state(h, psi0, times, dt=t_final / 600, drift_tol=1e-6)
+states = fock.propagate_state(h, psi0, times, dt=t_final / 100, drift_tol=1e-6)
 x_mat = fock.x_op(cutoff)
 var_x = np.array([fock.variance(x_mat, s) for s in states])
 

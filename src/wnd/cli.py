@@ -165,9 +165,12 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
 
 # Oracle stepping policy for the fidelity columns: endpoint drift 1e-6 is
 # ample because fidelity responds quadratically to state error (reported
-# fidelities resolve 1e-8 comfortably), and constant-Hamiltonian scenarios
-# converge at the first refinement.
-_ORACLE_STEPS = 600
+# fidelities resolve 1e-8 comfortably).  The oracle's CFM4 sub-step is
+# fourth order, so a base step of T/100 (halved once to T/200) meets that
+# drift on the driven scenarios, and constant-Hamiltonian scenarios converge
+# at the first refinement; each sub-step makes two exponentials, so a
+# midpoint-sized T/600 would double the cost for no gain.
+_ORACLE_STEPS = 100
 _ORACLE_DRIFT = 1e-6
 
 

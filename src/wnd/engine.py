@@ -36,7 +36,7 @@ import numpy as np
 
 from . import ladder
 from .errors import NonFinite, StepUnderflow, XiSingular
-from .signals import ZERO, as_signal
+from .signals import ZERO, Constant, as_signal
 
 MAX_DIM = 64
 DET_RATIO_FLOOR = 1e-12
@@ -208,6 +208,17 @@ class DecouplingProblem:
         if len(signals) > n:
             raise ValueError("more signals than basis elements")
         self.signals = signals + [ZERO] * (n - len(signals))
+        # G(t) starts from the constant entries, filled once; each distinct
+        # time-dependent signal object is evaluated once per call and written
+        # to every slot it drives (linear_problem passes one object twice).
+        self._g_const = np.array(
+            [s.value if isinstance(s, Constant) else 0.0 for s in self.signals],
+            dtype=complex)
+        slots = {}
+        for i, s in enumerate(self.signals):
+            if not isinstance(s, Constant):
+                slots.setdefault(s, []).append(i)
+        self._g_varying = [(s, np.array(idx)) for s, idx in slots.items()]
         if not t_final > 0:
             raise ValueError("span must be positive")
         self.t_final = float(t_final)
@@ -220,7 +231,10 @@ class DecouplingProblem:
         return len(self.basis)
 
     def g_vector(self, t):
-        return np.array([s(t) for s in self.signals], dtype=complex)
+        g = self._g_const.copy()
+        for sig, idx in self._g_varying:
+            g[idx] = sig(t)
+        return g
 
     def xi(self, f):
         """Xi(F) for one coefficient vector, or a stack of them (m, n)."""

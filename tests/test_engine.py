@@ -317,6 +317,23 @@ class TestProblemConstruction:
         prob = DecouplingProblem(gaussian.linear_basis(), [Constant(1.0)], 1.0)
         np.testing.assert_array_equal(prob.g_vector(0.5), [1.0, 0.0, 0.0, 0.0])
 
+    def test_shared_signal_evaluated_once(self):
+        # linear_problem drives both ladder slots with one signal object.
+        calls = []
+
+        def drive(t):
+            calls.append(t)
+            return 0.3 * np.cos(1.7 * t) + 0.1j
+
+        shared = Hook(drive)
+        prob = gaussian.linear_problem(shared, shared, 1.0)
+        for t in np.linspace(0.0, 1.0, 7):
+            calls.clear()
+            got = prob.g_vector(t)
+            assert len(calls) == 1
+            want = np.array([s(t) for s in prob.signals], dtype=complex)
+            assert np.array_equal(got, want)
+
     def test_too_many_signals(self):
         with pytest.raises(ValueError):
             DecouplingProblem(

@@ -3,9 +3,9 @@ import pytest
 import scipy.linalg
 from scipy.special import gammaln
 
-from wnd import cli, engine, fock, gaussian, ladder
+from wnd import cli, engine, fock, gaussian, ladder, symplectic
 from wnd.errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
-from wnd.signals import Constant
+from wnd.signals import Constant, Sinusoid
 
 
 class TestLadderMatrix:
@@ -60,6 +60,37 @@ class TestToMatrix:
         state = np.zeros(3 * 4)
         state[1 * 4 + 2] = 1.0
         np.testing.assert_allclose(img @ state, 2.0 * state, atol=1e-14)
+
+    @staticmethod
+    def _matmul_image(sig, cutoffs):
+        # ad^p @ (... @ 1) @ a @ a ... per mode by dense products, then kron.
+        term = None
+        for (p, q), cutoff in zip(sig, cutoffs):
+            low = fock.destroy(cutoff)
+            mat = np.eye(cutoff + 1, dtype=complex)
+            for _ in range(p):
+                mat = low.conj().T @ mat
+            for _ in range(q):
+                mat = mat @ low
+            term = mat if term is None else np.kron(term, mat)
+        return term
+
+    @pytest.mark.parametrize("cutoff", [1, 2, 3, 7, 40, 61, 80])
+    def test_one_mode_images_equal_matmul(self, cutoff):
+        for p in range(min(cutoff, 4) + 1):
+            for q in range(min(cutoff, 4) - p + 1):
+                got = fock.to_matrix(
+                    ladder.LadderPolynomial.monomial(1.0, ((p, q),)), cutoff)
+                assert np.array_equal(got, self._matmul_image(((p, q),), (cutoff,)))
+
+    @pytest.mark.parametrize("cutoffs", [(1, 1), (2, 5), (6, 3), (20, 30)])
+    def test_two_mode_images_equal_matmul(self, cutoffs):
+        for sig in [((1, 0), (0, 1)), ((2, 1), (1, 1)), ((0, 0), (1, 0)),
+                    ((1, 1), (0, 2)), ((0, 1), (1, 0))]:
+            if any(p + q > c for (p, q), c in zip(sig, cutoffs)):
+                continue
+            got = fock.to_matrix(ladder.LadderPolynomial.monomial(1.0, sig), cutoffs)
+            assert np.array_equal(got, self._matmul_image(sig, cutoffs))
 
     def test_cutoff_too_small(self):
         ad = ladder.creation()
@@ -191,12 +222,24 @@ class TestPropagate:
                            max_refinements=1)
 
 
-def _eigh_midpoint_states(h_eval, psi0, times, dt, drift_tol, max_refinements=10):
-    """Reference oracle with one ``eigh`` per midpoint sub-step.
+# A sub-step of size dt from t is a product of exponentials, the first row
+# applied first: exp(-i dt sum_k w_k H(t + c_k dt)) for each row w of weights
+# over the nodes c.
+_MIDPOINT = ((0.5,), ((1.0,),))
+_CFM4 = ((0.5 - np.sqrt(3.0) / 6, 0.5 + np.sqrt(3.0) / 6),
+         ((0.25 + np.sqrt(3.0) / 6, 0.25 - np.sqrt(3.0) / 6),
+          (0.25 - np.sqrt(3.0) / 6, 0.25 + np.sqrt(3.0) / 6)))
 
-    Same step rule, grid landings and dt/2 refinement as
-    ``fock.propagate_state``; only the action of exp(-i H dt) differs.
+
+def _eigh_states(h_eval, psi0, times, dt, drift_tol, scheme=_CFM4,
+                 max_refinements=10):
+    """Reference oracle with one ``eigh`` per exponential of ``scheme``.
+
+    Same grid landings and dt/2 refinement as ``fock.propagate_state``; with
+    the default CFM4 scheme only the action of each exponential differs.
     """
+    nodes, weights = scheme
+
     def run(dt):
         psi = psi0
         out = [psi]
@@ -204,8 +247,10 @@ def _eigh_midpoint_states(h_eval, psi0, times, dt, drift_tol, max_refinements=10
             n_sub = max(1, int(np.ceil((hi - lo) / dt - 1e-12)))
             step = (hi - lo) / n_sub
             for j in range(n_sub):
-                w, v = np.linalg.eigh(h_eval(lo + (j + 0.5) * step))
-                psi = v @ (np.exp(-1j * w * step) * (v.conj().T @ psi))
+                hs = [h_eval(lo + (j + c) * step) for c in nodes]
+                for row in weights:
+                    w, v = np.linalg.eigh(sum(x * h for x, h in zip(row, hs)))
+                    psi = v @ (np.exp(-1j * w * step) * (v.conj().T @ psi))
             out.append(psi)
         return np.array(out)
 
@@ -244,13 +289,72 @@ class TestPropagateState:
     @pytest.mark.parametrize("drive", ["linear", "su11", "combined"])
     def test_matches_eigh_reference(self, drive):
         # The Taylor action changes only roundoff: same refinement passes,
-        # same trajectory to 1e-12.
+        # same CFM4 trajectory to 1e-12.
         h = _driven_hamiltonian(self.CUTOFF, *self.DRIVES[drive])
         psi0 = fock.coherent_state(1.0, self.CUTOFF)
         times = np.linspace(0.0, 2.0, 6)
         new = fock.propagate_state(h, psi0, times, dt=2.0 / 200, drift_tol=1e-6)
-        ref = _eigh_midpoint_states(h, psi0, times, 2.0 / 200, 1e-6)
+        ref = _eigh_states(h, psi0, times, 2.0 / 200, 1e-6)
         assert np.max(np.abs(new - ref)) <= 1e-12
+
+    def _exact_rows(self, h, psi0, times, exact, cutoff):
+        """Per-row |<a> - exact| of the CLI's oracle and of the midpoint
+        oracle it replaced (T/600, drift 1e-6), both on ``times``."""
+        a = fock.destroy(cutoff)
+        span = times[-1]
+        new = fock.propagate_state(h, psi0, times, dt=span / cli._ORACLE_STEPS,
+                                   drift_tol=cli._ORACLE_DRIFT)
+        old = _eigh_states(h, psi0, times, span / 600, 1e-6, _MIDPOINT)
+        err_new = np.abs([fock.expectation(a, s) for s in new] - exact)
+        err_old = np.abs([fock.expectation(a, s) for s in old] - exact)
+        return err_new, err_old
+
+    def test_linear_drive_against_coherent_amplitude(self):
+        # H = n + g(t)(ad + a) keeps a coherent state coherent, with
+        # alpha(t) = e^{-it} (alpha0 - i int_0^t e^{is} g(s) ds).
+        cutoff, alpha0, span = 24, 1.0, 6.0
+        g = Sinusoid(0.4, 1.7, 0.3)
+        times = np.linspace(0.0, span, 9)
+        exact = np.exp(-1j * times) * (alpha0 - 1j * g.oscillatory_integral(times, 1.0))
+        h = _driven_hamiltonian(cutoff, g, lambda t: 0.0)
+        err_new, err_old = self._exact_rows(
+            h, fock.coherent_state(alpha0, cutoff), times, exact, cutoff)
+        assert np.all(err_new <= err_old)
+        assert np.max(err_new) <= 1e-8
+
+    def test_quadratic_drive_against_symplectic_moments(self):
+        # H = n + lam(t) ad^2 + lam(t) a^2 with real lam: <a>(t) from the
+        # phase-space flow S(t) of the same quadratic form.
+        cutoff, alpha0, span = 40, 1.0, 4.0
+        lam = Sinusoid(0.15, 1.3, 0.4)
+        times = np.linspace(0.0, span, 9)
+        flow = symplectic.propagate_symplectic(lam, lam, span, times=times,
+                                               rtol=1e-12, atol=1e-14)
+        exact = np.array([symplectic.first_moments(s, alpha0)[0]
+                          for s in flow.matrices])
+        h = _driven_hamiltonian(cutoff, lambda t: 0.0, lam)
+        err_new, err_old = self._exact_rows(
+            h, fock.coherent_state(alpha0, cutoff), times, exact, cutoff)
+        assert np.all(err_new <= err_old)
+        assert np.max(err_new) <= 1e-8
+
+    def test_fourth_order_convergence(self):
+        # CFM4 endpoint error against a 4x finer run scales as dt^4: halving
+        # dt divides it by 16, checked within a factor of two.
+        span = 8.0
+        h = _driven_hamiltonian(10, lambda t: 0.2 * np.sin(2.9 * t),
+                                lambda t: 0.08 * np.cos(3.0 * t) + 0.03j)
+        psi0 = fock.coherent_state(0.5, 10, leakage_tol=1e-6)
+
+        def endpoint(n):
+            # An infinite drift tolerance stops after one halving: dt/2.
+            return fock.propagate_state(h, psi0, [0.0, span], dt=span / n,
+                                        drift_tol=np.inf)[-1]
+
+        ref = endpoint(800)
+        e1 = np.max(np.abs(endpoint(100) - ref))
+        e2 = np.max(np.abs(endpoint(200) - ref))
+        assert 8.0 <= e1 / e2 <= 32.0
 
     def _count_eigh(self, monkeypatch):
         calls = []
@@ -293,24 +397,27 @@ class TestPropagateState:
         # Uniform output grids give sub-step sizes that differ by roundoff;
         # those reuse the cached step matrix, a genuinely new dt does not.
         h = fock.number_op(8)
-        stepper = fock._MidpointStepper()
+        stepper = fock._ExpStepper()
         first = stepper.step_matrix(h, 0.01)
         assert stepper.step_matrix(h, 0.01 * (1 + 1e-15)) is first
         assert stepper.step_matrix(h, 0.01 * (1 - 1e-15)) is first
         assert stepper.step_matrix(h, 0.02) is not first
 
     def test_large_norm_step_matches_expm(self, monkeypatch):
-        # dt ||H||_1 ~ 166 at cutoff 200: the step is cut into that many
-        # Taylor pieces.
-        cutoff, dt = 200, 0.5
+        # dt ||.||_1 ~ 150-170 for the two CFM4 exponentials at cutoff 200:
+        # each is cut into that many Taylor pieces.
+        cutoff, dt = 200, 1.0
         calls = self._count_eigh(monkeypatch)
-        h = _driven_hamiltonian(cutoff, lambda t: 0.5, lambda t: 0.3)(0.0)
+        h1 = _driven_hamiltonian(cutoff, lambda t: 0.5, lambda t: 0.3)(0.0)
+        h2 = _driven_hamiltonian(cutoff, lambda t: 0.4, lambda t: 0.2j)(0.0)
         rng = np.random.default_rng(488)
         psi = rng.normal(size=cutoff + 1) + 1j * rng.normal(size=cutoff + 1)
         psi /= np.linalg.norm(psi)
-        got = fock._MidpointStepper().step_state(h, dt, psi)
+        got = fock._ExpStepper().cfm4_state(h1, h2, dt, psi)
         assert len(calls) == 0
-        want = scipy.linalg.expm(-1j * dt * h) @ psi
+        (a1, a2), _ = _CFM4[1]
+        want = (scipy.linalg.expm(-1j * dt * (a2 * h1 + a1 * h2))
+                @ scipy.linalg.expm(-1j * dt * (a1 * h1 + a2 * h2)) @ psi)
         assert np.linalg.norm(got - want) <= 1e-12
 
     @pytest.mark.parametrize("bad", [(np.nan, np.nan), (np.inf, 0.0)],
@@ -329,7 +436,8 @@ class TestPropagateState:
         psi = np.ones(7, dtype=complex)
         psi[3] = np.nan
         with pytest.raises(NonConvergent):
-            fock._MidpointStepper().step_state(fock.number_op(6), 0.1, psi)
+            fock._ExpStepper().cfm4_state(fock.number_op(6), fock.x_op(6),
+                                          0.1, psi)
 
     def test_non_hermitian_is_typed(self):
         h_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
