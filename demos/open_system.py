@@ -9,14 +9,15 @@ cavity (jump operator a, rate kappa) relaxes towards vacuum with
 The dissipative algebra is also closed: doubling the generator set into
 two-mode ladder polynomials (the vectorisation doubles the Hilbert space)
 and commuting produces a finite basis, so the decoupling machinery applies
-to open systems as well.
+to open systems as well.  The demo solves the damped cavity that way and
+replays the factors on vec(rho0), against the Liouville propagation.
 
 Run:  python demos/open_system.py
 """
 
 import numpy as np
 
-from wnd import fock, ladder, liouville
+from wnd import engine, fock, ladder, liouville
 
 # --- the vectorisation identity ---------------------------------------------
 
@@ -62,3 +63,29 @@ print("dissipative algebra of the damped cavity (doubled picture):")
 for elem, central in zip(basis.elements, basis.central):
     print(f"  {elem.to_string()}   central={central}")
 print("dimension:", len(basis))
+
+# --- the decoupling theorem on the closed superalgebra -----------------------
+
+problem = liouville.lindblad_problem(ladder.number(), [ladder.annihilation()],
+                                     [[kappa]], t_final)
+print("\nLiouvillian coordinates c_j (L = sum_j c_j E_j):")
+for elem, g in zip(problem.basis, problem.g_vector(0.0)):
+    c = -1j * g
+    print(f"  {elem.to_string():>6}: {c.real + 0.0:+.4f}{c.imag + 0.0:+.4f}j")
+# Output points clip the engine's steps; 101 of them keep it at its rtol.
+fine = np.linspace(0.0, t_final, 101)
+wn = engine.integrate(problem, times=fine)
+mats = fock.ansatz_matrices(wn.basis, (cutoff, cutoff))
+replay = np.array([
+    liouville.devectorize(fock.apply_ansatz(wn.values[:, i], mats,
+                                            liouville.vectorize(rho0)))
+    for i in range(len(fine))
+])
+oracle = liouville.propagate_density(gen, rho0, t_final, dt=t_final / 400,
+                                     times=fine)
+replay_mean = np.array([np.trace(a @ rho) for rho in replay])
+print(f"min |det Xi| ratio over the run: {np.min(wn.det_ratio):.6f}")
+print("Wei-Norman replay vs Liouville propagation, max |rho entry diff|: "
+      f"{np.max(np.abs(replay - oracle.matrices)):.2e}")
+print("replayed <a> vs alpha exp[(-i - kappa/2) t], max diff: "
+      f"{np.max(np.abs(replay_mean - alpha * np.exp((-1j - kappa / 2) * fine))):.2e}")

@@ -21,19 +21,24 @@ propagator in ``liouville``, run one grid-landing loop over sub-step
 midpoints and one step-halving loop.  :func:`oracle_hamiltonian` derives
 the oracle's H(t) from a decoupling problem.  The oracle's stepping shares
 no code with the ansatz replay below; both take their Fock images from
-:func:`to_matrix`, which the tests pin against matrices built from
-:func:`destroy`.
+one band construction (:func:`to_matrix` places the bands in a dense
+matrix), which the tests pin against matrices built from :func:`destroy`.
 
 The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
 ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
 non-diagonal factor), which operator-level checks need, or acting on a
 state vector, so no dense product or dense exponential is formed.
-State-level checks use the second.  On a state, diagonal factors multiply
-elementwise; a generator whose nonzeros lie on one off-diagonal (the image
-of every ladder monomial ad^p a^q with p != q, in one or two modes) is
-nilpotent, so its exponential is the terminating Taylor series, summed in
-full on the vector with elementwise products; any other generator goes
-through ``scipy.sparse.linalg.expm_multiply``.
+State-level checks use the second.  :func:`ansatz_matrices` classifies
+each generator image once, as a :class:`FactorImage` (a diagonal, one
+band, or a CSR matrix), so a replay of many rows does not inspect its
+factors again and a two-mode image is never dense.  On a state, diagonal
+factors multiply elementwise; a generator whose nonzeros lie on one
+off-diagonal (the image of every ladder monomial ad^p a^q with p != q, in
+one or two modes) is nilpotent, so its exponential is the terminating
+Taylor series, summed in full on the vector with elementwise products; any
+other generator goes through ``scipy.sparse.linalg.expm_multiply``.  Dense
+matrices are accepted as well and classified on the way, with the same
+numbers.
 
 Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
@@ -46,6 +51,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 from scipy.special import gammaln
 
@@ -78,12 +84,20 @@ def p_op(cutoff):
     return 1j * (a.conj().T - a) / np.sqrt(2.0)
 
 
-def to_matrix(poly, cutoff):
-    """Dense matrix image of a normal-ordered polynomial.
+def _image_bands(poly, cutoff):
+    """Fock image of a normal-ordered polynomial as (dim, {offset: band}).
 
-    ``cutoff`` is an int (shared by all modes) or a per-mode tuple.  Two-mode
-    images use the row-major tensor basis |n_a, n_b> -> n_a*(cutoff_b+1)+n_b.
-    Raises when the polynomial degree exceeds the cutoff.
+    ``band`` is ``np.diagonal(image, offset)`` (numpy's offset, column minus
+    row); only offsets some monomial reaches appear.  A monomial prod_m
+    ad_m^p_m a_m^q_m moves mode m by p_m - q_m levels, so its image has one
+    band, the Kronecker product of its per-mode bands.  Each per-mode band is
+    built by elementwise products, in the order the dense products
+    ad @ (ad @ ... 1) @ a @ a ... would take them, and monomials sharing an
+    offset are summed in term order, so every entry is bit-identical to the
+    dense construction and no dim x dim matrix is formed.  ``cutoff`` is an
+    int (shared by all modes) or a per-mode tuple; two-mode images use the
+    row-major tensor basis |n_a, n_b> -> n_a*(cutoff_b+1)+n_b.  Raises when
+    the polynomial degree exceeds the cutoff.
     """
     if poly.n_modes > 2:
         raise ValueError("matrix images implemented for one or two modes")
@@ -95,41 +109,52 @@ def to_matrix(poly, cutoff):
             raise ValueError(
                 f"cutoff {cutoffs[mode]} too small for mode-{mode} degree {deg}"
             )
+    dims = [c + 1 for c in cutoffs]
 
-    # Lazily built per-mode power tables ad^p a^q.  The image has one band:
-    # column n holds a product of sqrt factors in row n + p - q.  The band
-    # is built by elementwise products, in the order the dense products
-    # ad @ (ad @ ... 1) @ a @ a ... would take them, so the entries are
-    # bit-identical to that construction without its BLAS calls.
-    pow_cache = [{} for _ in cutoffs]
+    # Lazily built per-mode bands of ad^p a^q, indexed by column: entry n
+    # sits in row n + p - q and is zero where that row leaves the space.
+    band_cache = [{} for _ in cutoffs]
 
-    def mode_image(mode, p, q):
-        key = (p, q)
-        cache = pow_cache[mode]
-        if key not in cache:
-            dim = cutoffs[mode] + 1
-            cols = np.arange(dim)
-            band = np.ones(dim)  # band[n] sits in row n + shift
+    def mode_band(mode, p, q):
+        cache = band_cache[mode]
+        if (p, q) not in cache:
+            cols = np.arange(dims[mode])
+            band = np.ones(dims[mode])
             for shift in range(p):
                 rows = cols + shift + 1
-                band = np.where(rows < dim, np.sqrt(rows) * band, 0.0)
+                band = np.where(rows < dims[mode], np.sqrt(rows) * band, 0.0)
             for _ in range(q):
                 band = np.concatenate(([0.0], band[:-1] * np.sqrt(cols[1:])))
-            rows = cols + p - q
-            keep = (rows >= 0) & (rows < dim)
-            mat = np.zeros((dim, dim), dtype=complex)
-            mat[rows[keep], cols[keep]] = band[keep]
-            cache[key] = mat
-        return cache[key]
+            cache[(p, q)] = band.astype(complex)
+        return cache[(p, q)]
 
-    dim = int(np.prod([c + 1 for c in cutoffs]))
-    out = np.zeros((dim, dim), dtype=complex)
+    dim = int(np.prod(dims))
+    by_column = {}
     for sig, coeff in poly.terms.items():
-        mats = [mode_image(m, p, q) for m, (p, q) in enumerate(sig)]
-        term = mats[0]
-        for m in mats[1:]:
-            term = np.kron(term, m)
-        out += coeff * term
+        vec, shift = None, 0
+        for mode, (p, q) in enumerate(sig):
+            band = mode_band(mode, p, q)
+            vec = band if vec is None else np.kron(vec, band)
+            shift = shift * dims[mode] + p - q
+        acc = by_column.setdefault(-shift, np.zeros(dim, dtype=complex))
+        acc += coeff * vec
+    return dim, {k: v[k:] if k >= 0 else v[:dim + k] for k, v in by_column.items()}
+
+
+def to_matrix(poly, cutoff):
+    """Dense matrix image of a normal-ordered polynomial.
+
+    ``cutoff`` is an int (shared by all modes) or a per-mode tuple.  Two-mode
+    images use the row-major tensor basis |n_a, n_b> -> n_a*(cutoff_b+1)+n_b.
+    Raises when the polynomial degree exceeds the cutoff.  The bands come
+    from the same construction as the replay images of
+    :func:`ansatz_matrices`.
+    """
+    dim, bands = _image_bands(poly, cutoff)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k, band in bands.items():
+        rows = np.arange(band.size) + max(0, -k)
+        out[rows, rows + k] = band
     return out
 
 
@@ -175,7 +200,9 @@ def coherent_state(alpha, cutoff, leakage_tol=1e-10):
     """Normalised truncation of exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
     Raises LeakageTooLarge when the top two levels hold more than
-    ``leakage_tol`` population, i.e. when the cutoff is too small for alpha.
+    ``leakage_tol`` of the truncated population, or that population
+    underflows to 0, i.e. when the cutoff is too small for alpha; the
+    message names the cutoff :func:`choose_cutoff` suggests for alpha.
     """
     alpha = complex(alpha)
     n = np.arange(cutoff + 1)
@@ -186,10 +213,18 @@ def coherent_state(alpha, cutoff, leakage_tol=1e-10):
     log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     top = float(np.sum(np.abs(vec[-2:]) ** 2))
-    if top > leakage_tol:
+    # Relative to what the truncation keeps: far beyond the cutoff every
+    # amplitude underflows, and nothing is kept.
+    kept = float(np.sum(np.abs(vec) ** 2))
+    if kept == 0.0 or top > leakage_tol * kept:
+        try:
+            hint = f"; try cutoff {choose_cutoff(alpha)}"
+        except ValueError as exc:
+            hint = f"; {exc}"
         raise LeakageTooLarge(
-            f"coherent state alpha={alpha} keeps {top:.2e} population in the "
-            f"top two levels at cutoff {cutoff}"
+            f"coherent state alpha={alpha} keeps {top:.2e} of its truncated "
+            f"population {kept:.2e} in the top two levels at cutoff "
+            f"{cutoff}{hint}"
         )
     return vec / np.linalg.norm(vec)
 
@@ -450,24 +485,63 @@ def factor_exponential(coefficient, mat):
     return scipy.linalg.expm(-1j * coefficient * mat)
 
 
-def ansatz_matrices(basis, cutoff):
-    """Matrix images of the basis elements, in basis (ansatz) order."""
-    return [to_matrix(e, cutoff) for e in basis]
+class FactorImage:
+    """Fock image of one ansatz generator, classified once for replay.
 
-
-def _band_offset(mat):
-    """Offset of the one diagonal that holds every nonzero of ``mat``.
-
-    0 for a diagonal (or zero) matrix, None when the nonzeros span more than
-    one diagonal.
+    ``offset`` 0: ``data`` is the diagonal; another int: ``data`` is the one
+    band ``np.diagonal(M, offset)`` that holds every nonzero; None: ``data``
+    is the matrix itself (dense, or CSR when built from a polynomial).
     """
+
+    __slots__ = ("shape", "offset", "data")
+
+    def __init__(self, dim, offset, data):
+        self.shape = (dim, dim)
+        self.offset = offset
+        self.data = data
+
+    def toarray(self):
+        if self.offset is None:
+            return self.data.toarray() if scipy.sparse.issparse(self.data) else self.data
+        return np.diag(self.data, self.offset)
+
+
+def _classify(dim, bands, matrix=None):
+    """FactorImage from the bands of M (``{offset: np.diagonal(M, offset)}``).
+
+    Bands with no nonzero are dropped.  M with more than one band left is
+    kept as ``matrix`` when given, else assembled in CSR from the bands.
+    """
+    bands = {k: band for k, band in bands.items() if np.any(band)}
+    if not bands:
+        return FactorImage(dim, 0, np.zeros(dim, dtype=complex))
+    if len(bands) == 1:
+        (offset, band), = bands.items()
+        return FactorImage(dim, offset, band)
+    if matrix is None:
+        matrix = scipy.sparse.diags(list(bands.values()), list(bands),
+                                    shape=(dim, dim), format="csr")
+    return FactorImage(dim, None, matrix)
+
+
+def _as_image(mat):
+    """A FactorImage as is; a dense matrix classified by its nonzeros."""
+    if isinstance(mat, FactorImage):
+        return mat
     rows, cols = np.nonzero(mat)
-    offsets = cols - rows
-    if offsets.size == 0:
-        return 0
-    if np.all(offsets == offsets[0]):
-        return int(offsets[0])
-    return None
+    offsets = np.unique(cols - rows)
+    return _classify(mat.shape[0], {int(k): np.diagonal(mat, k) for k in offsets},
+                     mat)
+
+
+def ansatz_matrices(basis, cutoff):
+    """Fock images of the basis elements, in basis (ansatz) order.
+
+    Each is a :class:`FactorImage`, built from the bands of
+    :func:`_image_bands` and classified once, so a replay of many rows does
+    not inspect its factors again and a two-mode image is never dense.
+    """
+    return [_classify(*_image_bands(e, cutoff)) for e in basis]
 
 
 def _banded_exp_action(coefficient, band, offset, psi):
@@ -502,7 +576,9 @@ def _banded_exp_action(coefficient, band, offset, psi):
 def apply_ansatz(f_values, matrices, state=None):
     """Ordered product U = prod_j exp(-i F_j M_j), or its action U @ state.
 
-    ``f_values`` may come straight from ``CoefficientTrajectory.final``.
+    ``f_values`` may come straight from ``CoefficientTrajectory.final``;
+    ``matrices`` are the :class:`FactorImage` list of
+    :func:`ansatz_matrices` or dense matrices (classified on each call).
     Without ``state`` the dense operator U is returned (one dense ``expm``
     per non-diagonal factor).  With ``state`` the factors act right to left
     on the vector and U @ state is returned without forming U: diagonal
@@ -522,17 +598,18 @@ def apply_ansatz(f_values, matrices, state=None):
         dim = matrices[0].shape[0]
         u = np.eye(dim, dtype=complex)
         for f, m in zip(f_values, matrices):
-            u = u @ factor_exponential(f, m)
+            u = u @ factor_exponential(f, m.toarray() if isinstance(m, FactorImage)
+                                       else m)
         return u
     psi = np.asarray(state, dtype=complex)
     for f, m in zip(f_values[::-1], matrices[::-1]):
-        offset = _band_offset(m)
-        if offset == 0:
-            psi = np.exp(-1j * f * np.diagonal(m)) * psi
-        elif offset is not None:
-            psi = _banded_exp_action(-1j * f, np.diagonal(m, offset), offset, psi)
+        image = _as_image(m)
+        if image.offset == 0:
+            psi = np.exp(-1j * f * image.data) * psi
+        elif image.offset is not None:
+            psi = _banded_exp_action(-1j * f, image.data, image.offset, psi)
         else:
-            psi = scipy.sparse.linalg.expm_multiply(-1j * f * m, psi)
+            psi = scipy.sparse.linalg.expm_multiply(-1j * f * image.data, psi)
     return psi
 
 

@@ -21,11 +21,16 @@ Propagation is by time-ordered short steps exp(L dt) applied to vec(rho)
 with Hermiticity restoration each step.  The generator is converted once to
 CSR (it is sparse: a damped cavity at cutoff 30 has 1860 nonzeros out of
 923k) and each step is the scaled Taylor series of the Fock oracle acting on
-the vector, so no dense exponential of the generator is formed.  The
-dissipative algebra itself can be examined with
-``superalgebra_closure``, which doubles operators into two-mode ladder
-polynomials (mode a carries left multiplication, mode b the transposed right
-multiplication) and closes them under commutation.
+the vector, so no dense exponential of the generator is formed.
+
+The same dynamics is solved by the decoupling theorem.
+``superalgebra_closure`` doubles operators into two-mode ladder polynomials
+(mode a carries the transposed right factor, mode b the left factor) and
+closes them under commutation; ``lindblad_problem`` writes the generator
+in that closed basis as an ``engine.DecouplingProblem``, whose ordered
+exponential, replayed on vec(rho0) by ``fock.apply_ansatz`` with cutoff
+(c, c), gives vec(rho(t)) without the dense generator.  ``wnd run
+open-damped`` checks that replay against ``propagate_density``.
 """
 
 from __future__ import annotations
@@ -36,8 +41,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse
 
-from . import fock, ladder
+from . import engine, fock, ladder
 from .errors import TraceDrift
+from .signals import Constant
 
 
 def vectorize(mat):
@@ -78,6 +84,21 @@ def trace_functional(dim):
     return vectorize(np.eye(dim)).astype(complex)
 
 
+def _rate_matrix(rates, count):
+    """The rate matrix h_nm as a complex (count, count) array; the identity
+    when ``rates`` is None.  Warns when it is not Hermitian PSD."""
+    if rates is None:
+        rates = np.eye(count)
+    rates = np.atleast_2d(np.asarray(rates, dtype=complex))
+    if rates.shape != (count, count):
+        raise ValueError("rate matrix shape must match the jump-operator count")
+    if np.max(np.abs(rates - rates.conj().T), initial=0.0) > 1e-12:
+        warnings.warn("rate matrix is not Hermitian", stacklevel=3)
+    elif count and np.min(np.linalg.eigvalsh(rates)) < -1e-12:
+        warnings.warn("rate matrix is not positive semidefinite", stacklevel=3)
+    return rates
+
+
 def build_lindbladian(hamiltonian, jump_ops, rates=None):
     """Dense generator matrix for the Markovian master equation.
 
@@ -92,29 +113,25 @@ def build_lindbladian(hamiltonian, jump_ops, rates=None):
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
     jump_ops = [np.asarray(op, dtype=complex) for op in jump_ops]
-    if rates is None:
-        rates = np.eye(len(jump_ops))
-    rates = np.atleast_2d(np.asarray(rates, dtype=complex))
-    if rates.shape != (len(jump_ops), len(jump_ops)):
-        raise ValueError("rate matrix shape must match the jump-operator count")
-    if np.max(np.abs(rates - rates.conj().T), initial=0.0) > 1e-12:
-        warnings.warn("rate matrix is not Hermitian", stacklevel=2)
-    elif len(jump_ops) and np.min(np.linalg.eigvalsh(rates)) < -1e-12:
-        warnings.warn("rate matrix is not positive semidefinite", stacklevel=2)
+    rates = _rate_matrix(rates, len(jump_ops))
 
-    gen = -1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
+    # Each term is accumulated in place, in the order of operations of
+    # -1j * (L - R) and w * (sandwich - A1/2 - A2/2), so the result is
+    # unchanged while fewer dim^2 x dim^2 temporaries are alive at once.
+    gen = left_right_superop(h, eye)
+    gen -= left_right_superop(eye, h)
+    gen *= -1j
     for n, l_n in enumerate(jump_ops):
         for m, l_m in enumerate(jump_ops):
             w = rates[n, m]
             if w == 0:
                 continue
-            sandwich = left_right_superop(l_n, l_m.conj().T)
             anti = l_m.conj().T @ l_n
-            gen += w * (
-                sandwich
-                - 0.5 * left_right_superop(anti, eye)
-                - 0.5 * left_right_superop(eye, anti)
-            )
+            term = left_right_superop(l_n, l_m.conj().T)
+            term -= 0.5 * left_right_superop(anti, eye)
+            term -= 0.5 * left_right_superop(eye, anti)
+            term *= w
+            gen += term
 
     residual = np.max(np.abs(trace_functional(dim) @ gen))
     if residual > 1e-10:
@@ -267,3 +284,39 @@ def superalgebra_closure(hamiltonian, jump_ops, max_dim=24):
             gens.append(superop_polynomial(anti, one))
             gens.append(superop_polynomial(one, anti))
     return ladder.close_algebra(gens, max_dim=max_dim)
+
+
+def lindblad_problem(hamiltonian, jump_ops, rates, t_final):
+    """Decoupling problem of the master equation over its closed superalgebra.
+
+    ``hamiltonian`` and each jump operator are single-mode polynomials and
+    ``rates`` the constant matrix h_nm (None: one unit-rate channel per
+    jump operator).  The generator is written in the doubled picture,
+
+        L = -i (sp(H, 1) - sp(1, H))
+            + sum_nm h_nm [sp(L_n, L_m') - sp(L_m' L_n, 1) / 2
+                           - sp(1, L_m' L_n) / 2],
+
+    with sp = :func:`superop_polynomial`, and expanded as L = sum_j c_j E_j
+    over :func:`superalgebra_closure`.  d vec(rho)/dt = L vec(rho) is
+    d vec(rho)/dt = -i (i L) vec(rho), so the problem's signals are the
+    constants G_j = i c_j, and the ordered exponential of its solution,
+    replayed on vec(rho0) with cutoff (c, c), gives vec(rho(t)).
+    """
+    rates = _rate_matrix(rates, len(jump_ops))
+    one = ladder.identity()
+    gen = -1j * (superop_polynomial(hamiltonian, one)
+                 - superop_polynomial(one, hamiltonian))
+    for n, l_n in enumerate(jump_ops):
+        for m, l_m in enumerate(jump_ops):
+            w = complex(rates[n, m])
+            if w == 0:
+                continue
+            anti = l_m.dagger() * l_n
+            gen = gen + w * (superop_polynomial(l_n, l_m.dagger())
+                             - 0.5 * superop_polynomial(anti, one)
+                             - 0.5 * superop_polynomial(one, anti))
+    basis = superalgebra_closure(hamiltonian, jump_ops)
+    coords = ladder.coordinates_in_basis(gen, basis.elements)
+    return engine.DecouplingProblem(basis, [Constant(1j * c) for c in coords],
+                                    t_final)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wnd import cli
+from wnd import cli, engine, fock, gaussian, liouville
 
 
 def run_cli(argv):
@@ -166,6 +166,59 @@ class TestRunCommand:
         assert run_cli(["run", "quadratic-parametric", "T=1.5", "n_out=5",
                         "cutoff=24", "--out", str(out)]) == 0
         assert len(calls) == 1
+
+    def test_open_damped_one_liouville_run(self, tmp_path, monkeypatch):
+        # The Liouville propagation is the oracle and runs once; the
+        # reference is the Wei-Norman replay, not a finer-step re-run.
+        calls = []
+        real = liouville.propagate_density
+        monkeypatch.setattr(liouville, "propagate_density",
+                            lambda *a, **k: calls.append(k) or real(*a, **k))
+        out = tmp_path / "open.csv"
+        assert run_cli(["run", "open-damped", "T=2.0", "n_out=5", "cutoff=16",
+                        "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert out.read_text().split("\n")[0] == "t,X,P,fidelity"
+
+    def test_open_damped_honours_tolerances(self, tmp_path, monkeypatch):
+        seen = []
+        real = engine.integrate
+        monkeypatch.setattr(engine, "integrate",
+                            lambda *a, **k: seen.append(k) or real(*a, **k))
+        assert run_cli(["run", "open-damped", "rtol=1e-8", "atol=1e-10",
+                        "T=2.0", "n_out=5", "cutoff=16",
+                        "--out", str(tmp_path / "open.csv")]) == 0
+        assert [(k["rtol"], k["atol"]) for k in seen] == [(1e-8, 1e-10)]
+
+    @pytest.mark.parametrize("alpha,hint", [
+        ("3", f"try cutoff {fock.choose_cutoff(3.0)}"),
+        # Every amplitude underflows at cutoff 16; this used to pass the
+        # leakage check and end in a LinAlgError traceback.
+        ("30", "exceeds supported ceiling"),
+    ])
+    def test_leaky_initial_state_names_cutoff(self, alpha, hint, tmp_path,
+                                              capsys):
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "open-damped", f"alpha={alpha}", "cutoff=16",
+                        "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "top two levels at cutoff 16" in err
+        assert hint in err
+        assert not out.exists()
+
+    def test_unitary_run_classifies_factors_once(self, tmp_path, monkeypatch):
+        # Each factor image is classified when it is built, not again for
+        # every replayed row.
+        calls = []
+        real = fock._classify
+        monkeypatch.setattr(fock, "_classify",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        n_factors = len(gaussian.linear_basis())
+        for n_out in (5, 17):
+            calls.clear()
+            assert run_cli(["run", "linear-constant", "T=3.0", f"n_out={n_out}",
+                            "cutoff=24", "--out", str(tmp_path / "lc.csv")]) == 0
+            assert len(calls) == n_factors
 
     def test_dt_out_controls_grid(self, tmp_path):
         out = tmp_path / "c.csv"

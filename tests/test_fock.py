@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 from scipy.special import gammaln
 
 from wnd import cli, engine, fock, gaussian, ladder, symplectic
@@ -583,6 +584,48 @@ class TestApplyAnsatz:
             dense = fock.apply_ansatz(f, mats) @ psi
             state = fock.apply_ansatz(f, mats, psi)
             assert np.linalg.norm(state - dense) <= 1e-12 * np.linalg.norm(dense)
+
+    @pytest.mark.parametrize(
+        "basis,cutoff",
+        [
+            (gaussian.linear_basis(), 12),
+            (gaussian.combined_basis(), 12),
+            (ladder.close_algebra([ladder.parse_polynomial(g, n_modes=2)
+                                   for g in ("ad*b", "a*bd")]), (4, 5)),
+        ],
+        ids=["linear", "combined", "two-mode-monomials"],
+    )
+    def test_images_match_dense_matrices(self, basis, cutoff):
+        # The classified images give the numbers the dense images give, bit
+        # for bit, on both paths.
+        images = fock.ansatz_matrices(basis, cutoff)
+        dense = [fock.to_matrix(e, cutoff) for e in basis]
+        for image, mat in zip(images, dense):
+            assert np.array_equal(image.toarray(), mat)
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
+        psi = rng.normal(size=dense[0].shape[0]) + 0j
+        assert np.array_equal(fock.apply_ansatz(f, images, psi),
+                              fock.apply_ansatz(f, dense, psi))
+        assert np.array_equal(fock.apply_ansatz(f, images),
+                              fock.apply_ansatz(f, dense))
+
+    def test_image_kinds(self):
+        # A diagonal, one band, or a sparse matrix; two-mode images hold
+        # O(dim) numbers, not a dense dim x dim matrix.
+        cutoff = (30, 30)
+        polys = {text: ladder.parse_polynomial(text, n_modes=2)
+                 for text in ("ad*a - bd*b", "a*b", "ad*b + a*bd")}
+        images = {text: fock.ansatz_matrices([p], cutoff)[0]
+                  for text, p in polys.items()}
+        assert images["ad*a - bd*b"].offset == 0
+        assert images["a*b"].offset == 32  # lowers n_a*31 + n_b by 32
+        assert images["ad*b + a*bd"].offset is None
+        assert scipy.sparse.issparse(images["ad*b + a*bd"].data)
+        for text, image in images.items():
+            assert image.shape == (961, 961)
+            np.testing.assert_array_equal(image.toarray(),
+                                          fock.to_matrix(polys[text], cutoff))
 
     @pytest.mark.parametrize("f", [0.7, 2.0 - 1.5j])
     def test_state_path_monomials_against_closed_form(self, f):
