@@ -23,7 +23,7 @@ is derived from the row's engine problem, never written by hand.
 closed superalgebra (``liouville.lindblad_problem``, at the run's
 rtol/atol), replays the factors on vec(rho0) through the same replay as the
 unitary rows, and checks the result against the Liouville propagation of
-the dense generator, its oracle.  An initial coherent state that leaks at
+the sparse generator, its oracle.  An initial coherent state that leaks at
 the cutoff fails with exit 3 and a suggested cutoff.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
@@ -301,7 +301,7 @@ def _unitary_scenario(scenario, params):
 def run_open_damped(params):
     """Damped cavity (H = N, jump a at rate kappa).
 
-    The oracle is the Liouville propagation of the dense generator; the
+    The oracle is the Liouville propagation of the sparse generator; the
     decoupled solution comes from ``liouville.lindblad_problem`` over the
     closed superalgebra, integrated at the run's rtol/atol and replayed on
     vec(rho0) with two-mode cutoff (cutoff, cutoff).  ``fidelity`` is the

@@ -17,11 +17,13 @@ Every kron/transpose placement above is pinned by the vectorisation identity
 (see ``kron_identity_residual``), not taken on faith; the builder also
 verifies trace preservation of the assembled generator.
 
+The generator is assembled sparse (CSR, from sparse kron products): a damped
+cavity at cutoff 30 has 1860 nonzeros out of 923k, on two diagonals.
 Propagation is by time-ordered short steps exp(L dt) applied to vec(rho)
-with Hermiticity restoration each step.  The generator is converted once to
-CSR (it is sparse: a damped cavity at cutoff 30 has 1860 nonzeros out of
-923k) and each step is the scaled Taylor series of the Fock oracle acting on
-the vector, so no dense exponential of the generator is formed.
+with Hermiticity restoration each step.  Each step is the scaled Taylor
+series of the Fock oracle acting on the vector, with the generator applied
+as its list of nonzero diagonals, so neither a dense generator nor a dense
+exponential is formed.
 
 The same dynamics is solved by the decoupling theorem.
 ``superalgebra_closure`` doubles operators into two-mode ladder polynomials
@@ -29,7 +31,7 @@ The same dynamics is solved by the decoupling theorem.
 closes them under commutation; ``lindblad_problem`` writes the generator
 in that closed basis as an ``engine.DecouplingProblem``, whose ordered
 exponential, replayed on vec(rho0) by ``fock.apply_ansatz`` with cutoff
-(c, c), gives vec(rho(t)) without the dense generator.  ``wnd run
+(c, c), gives vec(rho(t)) without the Liouville-space generator.  ``wnd run
 open-damped`` checks that replay against ``propagate_density``.
 """
 
@@ -64,8 +66,8 @@ def devectorize(vec):
 
 
 def left_right_superop(left, right):
-    """Matrix of rho -> left @ rho @ right under column stacking."""
-    return np.kron(np.asarray(right).T, np.asarray(left))
+    """Matrix of rho -> left @ rho @ right under column stacking, in CSR."""
+    return scipy.sparse.kron(np.asarray(right).T, np.asarray(left), format="csr")
 
 
 def kron_identity_residual(a, b, c):
@@ -100,7 +102,7 @@ def _rate_matrix(rates, count):
 
 
 def build_lindbladian(hamiltonian, jump_ops, rates=None):
-    """Dense generator matrix for the Markovian master equation.
+    """Sparse (CSR) generator matrix for the Markovian master equation.
 
     ``rates`` is the Hermitian PSD matrix h_nm (defaults to the identity,
     i.e. one unit-rate channel per jump operator; a single operator with
@@ -115,23 +117,20 @@ def build_lindbladian(hamiltonian, jump_ops, rates=None):
     jump_ops = [np.asarray(op, dtype=complex) for op in jump_ops]
     rates = _rate_matrix(rates, len(jump_ops))
 
-    # Each term is accumulated in place, in the order of operations of
-    # -1j * (L - R) and w * (sandwich - A1/2 - A2/2), so the result is
-    # unchanged while fewer dim^2 x dim^2 temporaries are alive at once.
-    gen = left_right_superop(h, eye)
-    gen -= left_right_superop(eye, h)
-    gen *= -1j
+    # The terms are summed in the order of operations of -1j * (L - R) and
+    # w * (sandwich - A1/2 - A2/2).  A sparse sum stores only the entries
+    # some term reaches, each computed as in the dense expression, so the
+    # generator equals its dense build entry for entry.
+    gen = -1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
     for n, l_n in enumerate(jump_ops):
         for m, l_m in enumerate(jump_ops):
             w = rates[n, m]
             if w == 0:
                 continue
             anti = l_m.conj().T @ l_n
-            term = left_right_superop(l_n, l_m.conj().T)
-            term -= 0.5 * left_right_superop(anti, eye)
-            term -= 0.5 * left_right_superop(eye, anti)
-            term *= w
-            gen += term
+            gen = gen + w * (left_right_superop(l_n, l_m.conj().T)
+                             - 0.5 * left_right_superop(anti, eye)
+                             - 0.5 * left_right_superop(eye, anti))
 
     residual = np.max(np.abs(trace_functional(dim) @ gen))
     if residual > 1e-10:
@@ -172,14 +171,15 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                       trace_tol=1e-9, max_refinements=8, refine=True):
     """Time-ordered short-step exponential propagation of a density matrix.
 
-    ``generator`` is a Lindbladian matrix, converted once to CSR, or a
-    callable t -> matrix, converted at every step.  Each step applies
-    exp(L(t_mid) dt) to vec(rho) by a Taylor series on the vector, cut into
-    ceil(dt ||L||_1) pieces of norm <= 1 and summed to roundoff
-    (``fock._taylor_exp_action`` with the generator i L), so no dense
-    exponential is formed.  Each step restores Hermiticity by
-    symmetrisation (the drift is logged on the trajectory); with ``refine``
-    the step is halved until the endpoint moves by less than ``trace_tol``.
+    ``generator`` is a Lindbladian matrix, dense or sparse, split once into
+    its nonzero diagonals, or a callable t -> matrix, split at every step.
+    Each step applies exp(L(t_mid) dt) to vec(rho) by a Taylor series on the
+    vector, cut into ceil(dt ||L||_1) pieces of norm <= 1 and summed to
+    roundoff (``fock._taylor_exp_action`` with the generator i L applied
+    diagonal by diagonal), so no dense exponential is formed.  Each step
+    restores Hermiticity by symmetrisation (the drift is logged on the
+    trajectory); with ``refine`` the step is halved until the endpoint moves
+    by less than ``trace_tol``.
     Raises TraceDrift when the trace wanders beyond tolerance,
     NonConvergent at the refinement floor or when a Taylor series meets a
     non-finite generator or state.
@@ -229,13 +229,61 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                         max_refinements, "density propagation")
 
 
+class _Bands:
+    """A square matrix as its diagonals ``{offset: band}`` (offset = column -
+    row, ``band = np.diagonal(M, offset)``, as in ``fock._image_bands``),
+    applied to a vector with ``@``.
+
+    The diagonals are added in ascending offset into a zeroed vector, so
+    each output entry sums its products in ascending column, the order of a
+    CSR row.  numpy's complex multiply may fuse one of its two real products
+    into a multiply-add, where the CSR kernel rounds both; a band with
+    entries whose real and imaginary parts are both nonzero is therefore
+    applied as its real part plus its imaginary part, two products in which
+    every real product is rounded once either way.  The result is
+    bit-identical to ``csr @ vector``.
+    """
+
+    def __init__(self, dim, bands):
+        self.dim = dim
+        self.terms = []
+        for k, band in sorted(bands.items()):
+            parts = (band,)
+            if np.any((band.real != 0) & (band.imag != 0)):
+                parts = (band.real.astype(complex), 1j * band.imag)
+            self.terms.append((slice(max(0, -k), dim - max(0, k)),
+                               slice(max(0, k), dim + min(0, k)), parts))
+
+    def __matmul__(self, vec):
+        out = np.zeros(self.dim, dtype=complex)
+        for rows, cols, parts in self.terms:
+            x = vec[cols]
+            p = parts[0] * x
+            for part in parts[1:]:
+                p += part * x
+            out[rows] += p
+        return out
+
+
 def _taylor_generator(gen):
-    """i L in CSR and ||L||_1: exp(L dt) = exp(-i (i L) dt) is then a
-    ``fock._taylor_exp_action`` step."""
-    op = scipy.sparse.csr_matrix(np.asarray(gen, dtype=complex))
-    op.data *= 1j
-    col_sums = np.bincount(op.indices, np.abs(op.data), op.shape[1])
-    return op, float(col_sums.max())
+    """i L as :class:`_Bands` and ||L||_1 (its largest column sum): exp(L dt)
+    = exp(-i (i L) dt) is then a ``fock._taylor_exp_action`` step.  ``gen``
+    is a dense or sparse matrix; it is not modified."""
+    op = scipy.sparse.csr_matrix(gen, dtype=complex, copy=True)
+    op.sum_duplicates()
+    dim = op.shape[0]
+    data = op.data * 1j
+    rows = np.repeat(np.arange(dim), np.diff(op.indptr))
+    offsets = op.indices - rows
+    # Entry (r, c) sits at position min(r, c) of its diagonal.
+    positions = np.minimum(rows, op.indices)
+    bands = {}
+    for k in np.unique(offsets).tolist():
+        on_k = offsets == k
+        bands[k] = np.zeros(dim - abs(k), dtype=complex)
+        bands[k][positions[on_k]] = data[on_k]
+    col_sums = np.bincount(op.indices, np.abs(data), dim)
+    return _Bands(dim, bands), float(col_sums.max())
 
 
 # -- dissipative algebra closure ----------------------------------------------

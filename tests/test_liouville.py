@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 import scipy.sparse.linalg
 
 from wnd import engine, fock, ladder, liouville
@@ -128,14 +131,19 @@ def test_in_place_build_matches_expression(channels):
     jumps = [fock.to_matrix(op, cutoff) for op in jump_polys]
     rates = np.asarray(rates, dtype=complex)
     eye = np.eye(cutoff + 1, dtype=complex)
-    sup = liouville.left_right_superop
+
+    def sup(left, right):
+        return np.kron(right.T, left)
+
     want = -1j * (sup(h, eye) - sup(eye, h))
     for n, l_n in enumerate(jumps):
         for m, l_m in enumerate(jumps):
             anti = l_m.conj().T @ l_n
             want += rates[n, m] * (sup(l_n, l_m.conj().T) - 0.5 * sup(anti, eye)
                                    - 0.5 * sup(eye, anti))
-    assert np.array_equal(liouville.build_lindbladian(h, jumps, rates), want)
+    got = liouville.build_lindbladian(h, jumps, rates)
+    assert scipy.sparse.issparse(got)
+    assert np.array_equal(got.toarray(), want)
 
 
 class TestLindbladProblem:
@@ -154,7 +162,7 @@ class TestLindbladProblem:
         big = cutoff + 1
         dense = liouville.build_lindbladian(
             fock.to_matrix(h_poly, big),
-            [fock.to_matrix(op, big) for op in jump_polys], rates)
+            [fock.to_matrix(op, big) for op in jump_polys], rates).toarray()
         keep = [nb * (big + 1) + na for nb in range(big) for na in range(big)]
         want = dense[np.ix_(keep, keep)]
         assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want)))
@@ -284,7 +292,7 @@ def _coherent_density(alpha, cutoff):
 
 class TestTaylorStep:
     """Each step applies exp(L dt) to vec(rho) by the oracle's scaled Taylor
-    series on the CSR generator; no dense exponential is formed."""
+    series on the generator's diagonals; no dense exponential is formed."""
 
     def test_no_dense_exponential(self, monkeypatch):
         calls = []
@@ -315,12 +323,13 @@ class TestTaylorStep:
         gen = liouville.build_lindbladian(
             80.0 * fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.2]]
         )
+        dense = gen.toarray()
         dt = t_final / 100
-        assert dt * np.max(np.sum(np.abs(gen), axis=0)) > 10
+        assert dt * np.max(np.sum(np.abs(dense), axis=0)) > 10
         rho0 = _coherent_density(0.8, cutoff)
         traj = liouville.propagate_density(gen, rho0, t_final, dt=dt,
                                            times=[0.0, t_final], refine=False)
-        want = scipy.linalg.expm(gen * t_final) @ liouville.vectorize(rho0)
+        want = scipy.linalg.expm(dense * t_final) @ liouville.vectorize(rho0)
         assert np.max(np.abs(traj.final - liouville.devectorize(want))) <= 1e-12
 
     @pytest.mark.parametrize("callable_gen", [False, True], ids=["matrix", "callable"])
@@ -328,7 +337,7 @@ class TestTaylorStep:
         cutoff = 4
         gen = liouville.build_lindbladian(
             fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.5]]
-        )
+        ).toarray()
         gen[3, 7] = np.nan
         rho0 = _coherent_density(0.5, cutoff)
         generator = (lambda t: gen) if callable_gen else gen
@@ -371,6 +380,81 @@ class TestTaylorStep:
         assert np.max(np.abs(static.matrices - called.matrices)) <= 1e-12
 
 
+def _band_generators():
+    """(id, H, jumps, rates) at cutoffs 10 and 30: the channel sets, whose
+    a-and-ad generator has diagonals on both sides, and a driven damped
+    cavity, N + g (a + a') with jump a."""
+    cases = []
+    for cutoff in (10, 30):
+        for name, (h_poly, jump_polys, rates) in CHANNEL_SETS.items():
+            cases.append((f"{name}-{cutoff}", fock.to_matrix(h_poly, cutoff),
+                          [fock.to_matrix(op, cutoff) for op in jump_polys], rates))
+        a = fock.destroy(cutoff)
+        h = fock.number_op(cutoff) + 0.3 * (a + a.conj().T)
+        cases.append((f"driven-{cutoff}", h, [a], [[0.5]]))
+    return cases
+
+
+class TestBandedGenerator:
+    """The generator is applied as its diagonals, not as a CSR matrix."""
+
+    @pytest.mark.parametrize("case", _band_generators(), ids=lambda c: c[0])
+    def test_band_product_is_csr_product(self, case, rng):
+        _, h, jumps, rates = case
+        gen = liouville.build_lindbladian(h, jumps, rates)
+        op, norm = liouville._taylor_generator(gen)
+        csr = gen * 1j
+        for _ in range(3):
+            vec = rng.normal(size=gen.shape[0]) + 1j * rng.normal(size=gen.shape[0])
+            assert np.array_equal(op @ vec, csr @ vec)
+        assert norm == np.max(np.sum(np.abs(gen.toarray()), axis=0))
+
+    def test_dense_and_sparse_generators_agree(self):
+        cutoff = 8
+        a = fock.destroy(cutoff)
+        gen = liouville.build_lindbladian(
+            fock.number_op(cutoff) + 0.3 * (a + a.conj().T), [a, a.conj().T],
+            [[0.4, 0.1j], [-0.1j, 0.2]])
+        rho0 = _coherent_density(0.6, cutoff)
+        times = np.linspace(0.0, 1.0, 3)
+        sparse = liouville.propagate_density(gen, rho0, 1.0, dt=0.01, times=times)
+        dense = liouville.propagate_density(gen.toarray(), rho0, 1.0, dt=0.01,
+                                            times=times)
+        assert np.array_equal(sparse.matrices, dense.matrices)
+
+    def test_repeated_entries_are_summed_on_a_copy(self, rng):
+        # A CSR matrix may list an entry twice in a row; its diagonal holds
+        # the sum, and the caller's matrix keeps its own layout.
+        data = np.array([1.0, 2.0j, 0.5, -0.25])
+        indices = np.array([1, 1, 0, 2])
+        indptr = np.array([0, 2, 2, 4])
+        gen = scipy.sparse.csr_matrix((data.copy(), indices.copy(), indptr),
+                                      shape=(3, 3))
+        op, norm = liouville._taylor_generator(gen)
+        assert np.array_equal(gen.indices, indices)
+        assert np.array_equal(gen.data, data)
+        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
+        summed = np.array([[0, 1 + 2j, 0], [0, 0, 0], [0.5, 0, -0.25]])
+        assert np.array_equal(op @ vec, scipy.sparse.csr_matrix(1j * summed) @ vec)
+        assert norm == abs(1 + 2j)
+
+    def test_large_cutoff_memory(self):
+        # One dense 3721^2 complex generator is 221 MB; the sparse build and
+        # a one-interval propagation stay far below it.
+        cutoff = 60
+        rho0 = _coherent_density(1.0, cutoff)
+        tracemalloc.start()
+        try:
+            gen = liouville.build_lindbladian(
+                fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.5]])
+            liouville.propagate_density(gen, rho0, 0.1, dt=0.001,
+                                        times=[0.0, 0.1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
+
 class TestSuperalgebraClosure:
     def test_free_hamiltonian_single_damping(self):
         basis = liouville.superalgebra_closure(
@@ -409,7 +493,7 @@ class TestSuperalgebraClosure:
             doubled = liouville.superop_polynomial(left, right)
             img = fock.to_matrix(doubled, cutoff)
             np.testing.assert_allclose(
-                img, liouville.left_right_superop(lmat, rmat), atol=1e-12
+                img, liouville.left_right_superop(lmat, rmat).toarray(), atol=1e-12
             )
 
     def test_overflow_guard(self):
