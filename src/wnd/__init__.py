@@ -9,7 +9,7 @@ open systems.
 """
 
 from . import engine, fock, gaussian, ladder, liouville, signals, symplectic
-from .engine import CoefficientTrajectory, DecouplingProblem, integrate, matrix_exp, xi_matrix
+from .engine import CoefficientTrajectory, DecouplingProblem, integrate, xi_matrix
 from .errors import (
     ClosureOverflow,
     LeakageTooLarge,
@@ -44,8 +44,7 @@ from .signals import Constant, Hook, Sampled, Signal, Sinusoid, as_signal
 
 __all__ = [
     "engine", "fock", "gaussian", "ladder", "liouville", "signals", "symplectic",
-    "CoefficientTrajectory", "DecouplingProblem", "integrate", "matrix_exp",
-    "xi_matrix",
+    "CoefficientTrajectory", "DecouplingProblem", "integrate", "xi_matrix",
     "WndError", "ModeMismatch", "ParseError", "UnknownMode", "ClosureOverflow",
     "NotClosed", "XiSingular", "StepUnderflow", "NonConvergent",
     "NonHermitian", "NonFinite", "LeakageTooLarge", "TraceDrift",

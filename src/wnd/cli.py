@@ -381,7 +381,19 @@ def run_scenario(scenario, params, out_path=None):
 
 
 def closure_report(generator_texts, max_dim=24):
+    """Text report of the closure of ``generator_texts``.
+
+    Raises ConfigError when ``max_dim`` is below the generator count or a
+    generator is zero, ParseError for text that does not parse to a finite
+    polynomial.
+    """
+    if max_dim < len(generator_texts):
+        raise ConfigError(f"--max-dim {max_dim} is smaller than the generator "
+                          f"count {len(generator_texts)}")
     polys = [ladder.parse_polynomial(text) for text in generator_texts]
+    for text, poly in zip(generator_texts, polys):
+        if poly.is_zero:
+            raise ConfigError(f"generator {text!r} is zero")
     n_modes = max(p.n_modes for p in polys)
     polys = [p.promote(n_modes) for p in polys]
     basis = ladder.close_algebra(polys, max_dim=max_dim)
@@ -447,7 +459,7 @@ def main(argv=None):
     if args.command == "closure":
         try:
             report = closure_report(args.generators, max_dim=args.max_dim)
-        except WndError as exc:
+        except (ConfigError, WndError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         print(report, end="")

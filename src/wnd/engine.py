@@ -17,9 +17,9 @@ exp(-i f M_j) = sum_k c_jk(f) B_jk: a nilpotent M_j keeps its powers
 (c_k = (-i f)^k / k!, exact), a safely diagonalisable one its rank-one
 spectral projectors (c_k = exp(-i f w_k)).  Building Xi is then one batched
 product of the coefficients with that table plus the prefix products of
-the factors; an adjoint of neither kind falls back to matrix_exp on every
-build.  The same builder takes a stack of coefficient vectors, so the
-|det Xi| diagnostic on the output grid is one stacked pass.
+the factors; an adjoint of neither kind falls back to ``scipy.linalg.expm``
+on every build.  The same builder takes a stack of coefficient vectors, so
+the |det Xi| diagnostic on the output grid is one stacked pass.
 
 The coefficient ODEs are integrated with an embedded Dormand-Prince 5(4)
 pair.  |det Xi| is monitored relative to its Hadamard bound; the solver fails
@@ -33,46 +33,13 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import ladder
 from .errors import NonFinite, StepUnderflow, XiSingular
 from .signals import ZERO, Constant, as_signal
 
-MAX_DIM = 64
 DET_RATIO_FLOOR = 1e-12
-
-
-def matrix_exp(a):
-    """Dense matrix exponential via scaling-and-squaring on a series core.
-
-    Exact for nilpotent input (the series terminates), relative accuracy
-    around 1e-15 otherwise.  Intended for the engine's small adjoint matrices
-    (n <= 64); rejects non-finite entries.
-    """
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("matrix_exp needs a square matrix")
-    if a.shape[0] > MAX_DIM:
-        raise ValueError(f"matrix_exp limited to n <= {MAX_DIM}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix_exp: non-finite entries")
-    n = a.shape[0]
-    eye = np.eye(n, dtype=complex)
-    norm = np.linalg.norm(a, np.inf)
-    if norm == 0.0:
-        return eye.copy()
-    s = int(np.ceil(np.log2(norm))) + 1 if norm > 0.5 else 0
-    b = a / (2.0 ** s)
-    out = eye.copy()
-    term = eye
-    for k in range(1, 41):
-        term = term @ b / k
-        out += term
-        if np.max(np.abs(term)) <= 1e-17 * max(1.0, np.max(np.abs(out))):
-            break
-    for _ in range(s):
-        out = out @ out
-    return out
 
 
 def _factor_terms(m):
@@ -82,7 +49,7 @@ def _factor_terms(m):
     when M^q = 0 exactly for some q <= n, B holds the powers M^0..M^(q-1)
     (p_k = k, w_k = 0; no truncation); when M is safely diagonalisable, B
     holds its rank-one spectral projectors (p_k = 0, w_k its eigenvalues).
-    Returns None otherwise: such a factor goes through matrix_exp.
+    Returns None otherwise: such a factor goes through scipy.linalg.expm.
     """
     m = np.asarray(m, dtype=complex)
     n = m.shape[0]
@@ -145,9 +112,7 @@ class _XiBuilder:
         coeffs = z ** self._powers * np.exp(z * self._rates) * self._inv_factorials
         exps = (coeffs[..., None, :] @ self._terms).reshape(batch + (n - 1, n, n))
         for j, m in self._series:
-            exps[..., j, :, :] = np.reshape(
-                [matrix_exp(-1j * fj * m) for fj in f[..., j].ravel()],
-                batch + (n, n))
+            exps[..., j, :, :] = scipy.linalg.expm(-1j * f[..., j, None, None] * m)
         left = exps[..., 0, :, :]
         xi[..., :, 1] = left[..., :, 1]
         for j in range(2, n):
@@ -192,22 +157,16 @@ class DecouplingProblem:
     """
 
     def __init__(self, basis, signals, t_final, ordering=None):
-        if ordering is not None:
-            basis = basis.reordered(ordering)
-            signals = list(signals)
-            if len(signals) == len(basis):
-                signals = [signals[i] for i in ordering]
-            elif len(signals) < len(basis):
-                padded = list(signals) + [ZERO] * (len(basis) - len(signals))
-                signals = [padded[i] for i in ordering]
-            else:
-                raise ValueError("more signals than basis elements")
-        self.basis = basis
         n = len(basis)
         signals = [as_signal(s) for s in signals]
         if len(signals) > n:
             raise ValueError("more signals than basis elements")
-        self.signals = signals + [ZERO] * (n - len(signals))
+        signals += [ZERO] * (n - len(signals))
+        if ordering is not None:
+            basis = basis.reordered(ordering)
+            signals = [signals[i] for i in ordering]
+        self.basis = basis
+        self.signals = signals
         # G(t) starts from the constant entries, filled once; each distinct
         # time-dependent signal object is evaluated once per call and written
         # to every slot it drives (linear_problem passes one object twice).

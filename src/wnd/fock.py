@@ -10,7 +10,7 @@ The state oracle, :func:`propagate_state`, takes order-4 commutator-free
 Magnus (CFM4) sub-steps: H is sampled at the two Gauss-Legendre nodes of
 each sub-step and psi <- exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 +
 a2 H2)) psi, each exponential applied by a Taylor series scaled into
-ceil(dt ||.||_1) pieces of norm <= 1, so a time-dependent H is not
+ceil(|dt| ||.||_1) pieces of norm <= 1, so a time-dependent H is not
 diagonalised and no dense step matrix is formed; a constant H reuses its
 eigen step matrix exp(-i H dt) instead.  Its error falls as dt^4, so the
 CLI starts from T/100 and one halving usually meets the drift tolerance.
@@ -19,10 +19,17 @@ exp(-i H(t + dt/2) dt), one ``eigh`` per distinct H; only tests use it,
 and they pin that scheme, so it keeps it.  Both, and the density
 propagator in ``liouville``, run one grid-landing loop over sub-step
 midpoints and one step-halving loop.  :func:`oracle_hamiltonian` derives
-the oracle's H(t) from a decoupling problem.  The oracle's stepping shares
-no code with the ansatz replay below; both take their Fock images from
-one band construction (:func:`to_matrix` places the bands in a dense
-matrix), which the tests pin against matrices built from :func:`destroy`.
+the oracle's H(t) from a decoupling problem.  The oracle shares two
+primitives with the ansatz replay below: the Fock images, from one band
+construction (:func:`to_matrix` places the bands in a dense matrix), which
+the tests pin against matrices built from :func:`destroy`; and the scaled
+Taylor action :func:`_taylor_step`, which the tests pin against
+``scipy.linalg.expm``.
+
+The package has one exponential per form: :func:`_taylor_step` for an
+exponential acting on a vector (the oracle, the replay's multi-band
+factors and the density propagator in ``liouville``), ``scipy.linalg.expm``
+for a dense matrix.
 
 The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
 ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
@@ -36,7 +43,7 @@ factors multiply elementwise; a generator whose nonzeros lie on one
 off-diagonal (the image of every ladder monomial ad^p a^q with p != q, in
 one or two modes) is nilpotent, so its exponential is the terminating
 Taylor series, summed in full on the vector with elementwise products; any
-other generator goes through ``scipy.sparse.linalg.expm_multiply``.  Dense
+other generator (a CSR image) goes through :func:`_taylor_step`.  Dense
 matrices are accepted as well and classified on the way, with the same
 numbers.
 
@@ -52,7 +59,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-import scipy.sparse.linalg
 from scipy.special import gammaln
 
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
@@ -259,23 +265,29 @@ def variance(op, psi):
 _TAYLOR_MAX_TERMS = 30
 
 
-def _taylor_exp_action(h, dt, psi, pieces):
-    """exp(-i h dt) @ psi by a Taylor series on the vector, in ``pieces``
-    steps of dt / pieces.
+def _taylor_step(op, dt, psi, norm=None):
+    """exp(-i op dt) @ psi by a Taylor series on the vector.
 
-    With pieces >= dt * ||h||_1 every piece has norm <= 1 (the scaling
-    behind Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011)); each
+    ``op`` is a dense or CSR matrix and ``dt`` a real or complex step.  The
+    step is cut into ceil(|dt| ||op||_1) pieces, so every piece has norm
+    <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
+    (2011)); one piece when that product is not finite.  ``norm`` is
+    ||op||_1 (largest column sum) when the caller already knows it.  Each
     piece sums terms until one falls below roundoff relative to psi.
     Raises NonConvergent when a piece needs more than _TAYLOR_MAX_TERMS
     terms, which only non-finite input can cause.
     """
+    if norm is None:
+        norm = np.max(abs(op).sum(axis=0))
+    reach = abs(dt) * norm
+    pieces = max(1, int(np.ceil(reach))) if np.isfinite(reach) else 1
     scale = -1j * dt / pieces
     tol_sq = np.finfo(float).eps ** 2 * np.vdot(psi, psi).real
     for _ in range(pieces):
         out = psi.copy()
         term = psi
         for k in range(1, _TAYLOR_MAX_TERMS + 1):
-            term = h @ term
+            term = op @ term
             term *= scale / k
             out += term
             if np.vdot(term, term).real <= tol_sq:
@@ -298,12 +310,6 @@ _CFM4_A1 = 0.25 + np.sqrt(3.0) / 6.0
 _CFM4_A2 = 0.25 - np.sqrt(3.0) / 6.0
 
 
-def _taylor_step(h, dt, psi):
-    """exp(-i h dt) @ psi in ceil(dt ||h||_1) Taylor pieces."""
-    reach = dt * np.max(np.sum(np.abs(h), axis=0))
-    return _taylor_exp_action(h, dt, psi, max(1, int(np.ceil(reach))))
-
-
 class _ExpStepper:
     """Exponential sub-steps with a cache for a repeated H.
 
@@ -312,7 +318,7 @@ class _ExpStepper:
     ``cfm4_state`` applies one CFM4 sub-step to a vector: when its two
     samples are equal (a constant drive) the step is exactly exp(-i H dt),
     taken from the cached eigen step matrix of that H; otherwise each of its
-    two exponentials goes through :func:`_taylor_exp_action`, so a
+    two exponentials goes through :func:`_taylor_step`, so a
     time-dependent H is not diagonalised.  Every H that differs from the
     previous evaluation is checked for Hermiticity (raises NonHermitian,
     also for a non-finite H).
@@ -585,8 +591,8 @@ def apply_ansatz(f_values, matrices, state=None):
     generators multiply elementwise by exp(-i F_j diag M_j); a generator
     with its nonzeros on one off-diagonal is nilpotent and its terminating
     Taylor series is summed on the vector without BLAS calls; every other
-    generator goes through ``scipy.sparse.linalg.expm_multiply`` (Al-Mohy &
-    Higham, SIAM J. Sci. Comput. 33, 488 (2011)).  Rejects non-finite
+    generator goes through :func:`_taylor_step`, the scaled Taylor series
+    of the oracle, in ceil(|F_j| ||M_j||_1) pieces.  Rejects non-finite
     coefficients and a coefficient/matrix count mismatch on both paths.
     """
     f_values = np.asarray(f_values, dtype=complex)
@@ -609,7 +615,7 @@ def apply_ansatz(f_values, matrices, state=None):
         elif image.offset is not None:
             psi = _banded_exp_action(-1j * f, image.data, image.offset, psi)
         else:
-            psi = scipy.sparse.linalg.expm_multiply(-1j * f * image.data, psi)
+            psi = _taylor_step(image.data, f, psi)
     return psi
 
 

@@ -382,6 +382,8 @@ class _Parser:
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
+        if not np.all(np.isfinite(list(poly.terms.values()))):
+            raise ParseError("a coefficient is not finite", 0)
         return poly
 
     def expr(self):
@@ -453,7 +455,8 @@ def parse_polynomial(text, n_modes=None):
     """Parse polynomial text such as ``"0.5*ad^2"`` or ``"ad*a*(bd+b)"``.
 
     When ``n_modes`` is omitted it is inferred: two modes if a ``b``/``bd``
-    token appears, one otherwise.
+    token appears, one otherwise.  Raises ParseError for malformed text and
+    for a polynomial with a non-finite coefficient (``1e400*a``).
     """
     if n_modes is None:
         n_modes = 2 if re.search(r"\bbd?\b", text) else 1

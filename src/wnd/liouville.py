@@ -21,8 +21,8 @@ The generator is assembled sparse (CSR, from sparse kron products): a damped
 cavity at cutoff 30 has 1860 nonzeros out of 923k, on two diagonals.
 Propagation is by time-ordered short steps exp(L dt) applied to vec(rho)
 with Hermiticity restoration each step.  Each step is the scaled Taylor
-series of the Fock oracle acting on the vector, with the generator applied
-as its list of nonzero diagonals, so neither a dense generator nor a dense
+series of the Fock oracle (``fock._taylor_step``) acting on the vector
+through the CSR generator, so neither a dense generator nor a dense
 exponential is formed.
 
 The same dynamics is solved by the decoupling theorem.
@@ -171,15 +171,14 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                       trace_tol=1e-9, max_refinements=8, refine=True):
     """Time-ordered short-step exponential propagation of a density matrix.
 
-    ``generator`` is a Lindbladian matrix, dense or sparse, split once into
-    its nonzero diagonals, or a callable t -> matrix, split at every step.
-    Each step applies exp(L(t_mid) dt) to vec(rho) by a Taylor series on the
-    vector, cut into ceil(dt ||L||_1) pieces of norm <= 1 and summed to
-    roundoff (``fock._taylor_exp_action`` with the generator i L applied
-    diagonal by diagonal), so no dense exponential is formed.  Each step
-    restores Hermiticity by symmetrisation (the drift is logged on the
-    trajectory); with ``refine`` the step is halved until the endpoint moves
-    by less than ``trace_tol``.
+    ``generator`` is a Lindbladian matrix, dense or sparse, converted once
+    to CSR, or a callable t -> matrix, converted at every step.  Each step
+    applies exp(L(t_mid) dt) to vec(rho) by ``fock._taylor_step``: a Taylor
+    series on the vector with the CSR generator i L, cut into ceil(dt
+    ||L||_1) pieces of norm <= 1 and summed to roundoff, so no dense
+    exponential is formed.  Each step restores Hermiticity by
+    symmetrisation (the drift is logged on the trajectory); with ``refine``
+    the step is halved until the endpoint moves by less than ``trace_tol``.
     Raises TraceDrift when the trace wanders beyond tolerance,
     NonConvergent at the refinement floor or when a Taylor series meets a
     non-finite generator or state.
@@ -205,10 +204,7 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
         def step(t_mid, sub_dt, rho):
             nonlocal herm_drift, trace_drift
             op, norm = static or _taylor_generator(generator(t_mid))
-            # A non-finite norm takes one piece, whose series hits the term cap.
-            pieces = max(1, int(np.ceil(sub_dt * norm))) if np.isfinite(norm) else 1
-            rho = devectorize(fock._taylor_exp_action(op, sub_dt, vectorize(rho),
-                                                      pieces))
+            rho = devectorize(fock._taylor_step(op, sub_dt, vectorize(rho), norm))
             sym = 0.5 * (rho + rho.conj().T)
             herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
             tr = np.trace(sym)
@@ -229,61 +225,15 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                         max_refinements, "density propagation")
 
 
-class _Bands:
-    """A square matrix as its diagonals ``{offset: band}`` (offset = column -
-    row, ``band = np.diagonal(M, offset)``, as in ``fock._image_bands``),
-    applied to a vector with ``@``.
-
-    The diagonals are added in ascending offset into a zeroed vector, so
-    each output entry sums its products in ascending column, the order of a
-    CSR row.  numpy's complex multiply may fuse one of its two real products
-    into a multiply-add, where the CSR kernel rounds both; a band with
-    entries whose real and imaginary parts are both nonzero is therefore
-    applied as its real part plus its imaginary part, two products in which
-    every real product is rounded once either way.  The result is
-    bit-identical to ``csr @ vector``.
-    """
-
-    def __init__(self, dim, bands):
-        self.dim = dim
-        self.terms = []
-        for k, band in sorted(bands.items()):
-            parts = (band,)
-            if np.any((band.real != 0) & (band.imag != 0)):
-                parts = (band.real.astype(complex), 1j * band.imag)
-            self.terms.append((slice(max(0, -k), dim - max(0, k)),
-                               slice(max(0, k), dim + min(0, k)), parts))
-
-    def __matmul__(self, vec):
-        out = np.zeros(self.dim, dtype=complex)
-        for rows, cols, parts in self.terms:
-            x = vec[cols]
-            p = parts[0] * x
-            for part in parts[1:]:
-                p += part * x
-            out[rows] += p
-        return out
-
-
 def _taylor_generator(gen):
-    """i L as :class:`_Bands` and ||L||_1 (its largest column sum): exp(L dt)
-    = exp(-i (i L) dt) is then a ``fock._taylor_exp_action`` step.  ``gen``
-    is a dense or sparse matrix; it is not modified."""
+    """i L in CSR and ||L||_1 (its largest column sum): exp(L dt) =
+    exp(-i (i L) dt) is then a ``fock._taylor_step``.  ``gen`` is a dense
+    or sparse matrix; it is not modified."""
     op = scipy.sparse.csr_matrix(gen, dtype=complex, copy=True)
     op.sum_duplicates()
-    dim = op.shape[0]
-    data = op.data * 1j
-    rows = np.repeat(np.arange(dim), np.diff(op.indptr))
-    offsets = op.indices - rows
-    # Entry (r, c) sits at position min(r, c) of its diagonal.
-    positions = np.minimum(rows, op.indices)
-    bands = {}
-    for k in np.unique(offsets).tolist():
-        on_k = offsets == k
-        bands[k] = np.zeros(dim - abs(k), dtype=complex)
-        bands[k][positions[on_k]] = data[on_k]
-    col_sums = np.bincount(op.indices, np.abs(data), dim)
-    return _Bands(dim, bands), float(col_sums.max())
+    op.data *= 1j
+    col_sums = np.bincount(op.indices, np.abs(op.data), op.shape[1])
+    return op, float(col_sums.max())
 
 
 # -- dissipative algebra closure ----------------------------------------------

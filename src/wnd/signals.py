@@ -12,7 +12,6 @@ from __future__ import annotations
 import numbers
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def _phase_integral(kappa, t):
@@ -60,8 +59,12 @@ class Signal:
 
         The generic implementation uses adaptive Gauss-Kronrod quadrature on
         real and imaginary parts (absolute tolerance 1e-10).  Closed-form
-        subclasses override it.
+        subclasses override it.  ``scipy.integrate`` is imported here, not
+        at module level: it costs about a third of a second of start-up and
+        only this fallback uses it.
         """
+        from scipy.integrate import quad
+
         scalar = np.ndim(t) == 0
         ts = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all(np.isfinite(self(ts))):

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import wnd
 from wnd import cli, engine, fock, gaussian, liouville
 
 
@@ -295,6 +300,28 @@ class TestClosureCommand:
 
     def test_overflow_exit_code(self, capsys):
         assert run_cli(["closure", "ad^3", "a^2", "--max-dim", "6"]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["a", "--max-dim", "0"],
+        ["a", "--max-dim", "-3"],
+        ["0"],
+        ["1e400*a"],
+    ], ids=["max-dim-0", "max-dim-negative", "zero-generator", "inf-coefficient"])
+    def test_bad_input_is_one_line_exit_2(self, argv, capsys):
+        assert run_cli(["closure"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestStartup:
+    def test_cli_import_skips_scipy_integrate(self):
+        # Only the generic quadrature fallback of Signal needs it.
+        src = os.path.dirname(os.path.dirname(wnd.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, wnd.cli; print('scipy.integrate' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
 
 class TestListCommand:

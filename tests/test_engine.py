@@ -3,42 +3,10 @@ import pytest
 import scipy.linalg
 
 from wnd import engine, fock, gaussian, ladder
-from wnd.engine import DecouplingProblem, integrate, matrix_exp, xi_matrix
+from wnd.engine import DecouplingProblem, integrate, xi_matrix
 from wnd.errors import NonFinite, StepUnderflow, WndError, XiSingular
 from wnd.ladder import LieBasis, structure_constants
 from wnd.signals import Constant, Hook, Sinusoid
-
-
-class TestMatrixExp:
-    def test_zero_is_identity(self):
-        np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
-
-    def test_diagonal_phases(self):
-        theta = 0.83
-        m = matrix_exp(np.diag([1j * theta, -1j * theta]))
-        np.testing.assert_allclose(
-            m, np.diag([np.exp(1j * theta), np.exp(-1j * theta)]), rtol=1e-13
-        )
-
-    def test_nilpotent_is_exact(self):
-        n = np.array([[0.0, 2.5], [0.0, 0.0]])
-        np.testing.assert_array_equal(matrix_exp(n), np.eye(2) + n)
-
-    def test_matches_scipy_on_random(self):
-        import scipy.linalg
-
-        rng = np.random.default_rng(3)
-        for _ in range(5):
-            a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-            np.testing.assert_allclose(
-                matrix_exp(a), scipy.linalg.expm(a), rtol=1e-11, atol=1e-11
-            )
-
-    def test_rejects_non_finite_and_oversize(self):
-        with pytest.raises(ValueError):
-            matrix_exp(np.array([[np.inf, 0], [0, 0]]))
-        with pytest.raises(ValueError):
-            matrix_exp(np.zeros((65, 65)))
 
 
 class TestXiMatrix:
@@ -115,9 +83,11 @@ class TestXiTable:
         np.testing.assert_allclose(prob.xi(fs), refs, rtol=0, atol=1e-12)
 
     def test_gaussian_integrate_never_calls_matrix_exp(self, monkeypatch):
+        # Every Gaussian adjoint is nilpotent or diagonalisable, so Xi never
+        # takes the scipy.linalg.expm fallback.
         calls = []
-        real = engine.matrix_exp
-        monkeypatch.setattr(engine, "matrix_exp",
+        real = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
                             lambda a: calls.append(a) or real(a))
         sig = Sinusoid(0.2, 1.0, 0.3)
         integrate(gaussian.linear_problem(sig, sig, 3.0), n_out=31)
@@ -139,22 +109,23 @@ class TestXiTable:
 
     def test_series_fallback_for_defective_adjoint(self, monkeypatch):
         # M_0 = 0.7 I + J (a 2x2 Jordan block beside a zero row): neither
-        # nilpotent nor diagonalisable, so it takes matrix_exp per call.
+        # nilpotent nor diagonalisable, so it takes scipy.linalg.expm per
+        # call.  The references are computed before the patch, so only the
+        # engine's calls are counted.
         m0 = np.array([[0.7, 1.0, 0.0], [0.0, 0.7, 0.0], [0.0, 0.0, 0.0]])
         m1 = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         c = np.zeros((3, 3, 3), dtype=complex)
         c[0], c[1] = m0.T, m1.T
         assert engine._factor_terms(m0) is None
-        calls = []
-        real = engine.matrix_exp
-        monkeypatch.setattr(engine, "matrix_exp",
-                            lambda a: calls.append(a) or real(a))
         rng = np.random.default_rng(5)
-        for _ in range(4):
-            f = rng.normal(size=3) + 1j * rng.normal(size=3)
-            np.testing.assert_allclose(
-                xi_matrix(c, f), _xi_reference([m0, m1, c[2].T], f),
-                rtol=0, atol=1e-12)
+        fs = [rng.normal(size=3) + 1j * rng.normal(size=3) for _ in range(4)]
+        refs = [_xi_reference([m0, m1, c[2].T], f) for f in fs]
+        calls = []
+        real = scipy.linalg.expm
+        monkeypatch.setattr(scipy.linalg, "expm",
+                            lambda a: calls.append(a) or real(a))
+        for f, ref in zip(fs, refs):
+            np.testing.assert_allclose(xi_matrix(c, f), ref, rtol=0, atol=1e-12)
         assert len(calls) == 4
 
 
@@ -335,11 +306,12 @@ class TestProblemConstruction:
             assert np.array_equal(got, want)
 
     def test_too_many_signals(self):
-        with pytest.raises(ValueError):
-            DecouplingProblem(
-                gaussian.su11_basis(include_identity=False),
-                [Constant(1.0)] * 5, 1.0,
-            )
+        for ordering in (None, [2, 0, 1]):
+            with pytest.raises(ValueError, match="more signals"):
+                DecouplingProblem(
+                    gaussian.su11_basis(include_identity=False),
+                    [Constant(1.0)] * 5, 1.0, ordering=ordering,
+                )
 
     def test_ordering_applied_once(self):
         basis = gaussian.linear_basis()
@@ -349,6 +321,14 @@ class TestProblemConstruction:
         )
         assert prob.basis.elements[0] == ladder.creation()
         np.testing.assert_array_equal(prob.g_vector(0.0), [0.2, 1.0, 0.2, 0.0])
+        # A short list is padded with zero drives before the permutation,
+        # so the missing identity drive lands where the identity goes.
+        prob = DecouplingProblem(
+            basis, [Constant(1.0), Constant(0.2), Constant(0.3)], 1.0,
+            ordering=[3, 2, 0, 1],
+        )
+        assert prob.basis.elements[0] == ladder.identity()
+        np.testing.assert_array_equal(prob.g_vector(0.0), [0.0, 0.3, 1.0, 0.2])
 
     def test_span_must_be_positive(self):
         with pytest.raises(ValueError):

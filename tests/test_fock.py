@@ -627,6 +627,30 @@ class TestApplyAnsatz:
             np.testing.assert_array_equal(image.toarray(),
                                           fock.to_matrix(polys[text], cutoff))
 
+    def test_multiband_factor_by_taylor_pieces(self, monkeypatch):
+        # A beam-splitter factor of the two-mode closure has two bands, so
+        # its CSR image goes through the scaled Taylor step: |F| ||M||_1 >= 20
+        # cuts it into at least 20 pieces, and no expm_multiply runs.
+        import scipy.sparse.linalg
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("expm_multiply called")
+
+        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+        cutoff = (3, 3)
+        basis = ladder.close_algebra(
+            [ladder.parse_polynomial("ad*b + a*bd", n_modes=2)])
+        image = fock.ansatz_matrices(basis, cutoff)[0]
+        assert image.offset is None
+        dense = image.toarray()
+        f = 0.5 - 4.2j  # mostly imaginary: |F|, not Re F, sets the pieces
+        assert abs(f) * np.max(np.sum(np.abs(dense), axis=0)) >= 20
+        rng = np.random.default_rng(11)
+        psi = rng.normal(size=16) + 1j * rng.normal(size=16)
+        got = fock.apply_ansatz([f], [image], psi)
+        want = scipy.linalg.expm(-1j * f * dense) @ psi
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
     @pytest.mark.parametrize("f", [0.7, 2.0 - 1.5j])
     def test_state_path_monomials_against_closed_form(self, f):
         # Monomial generators take the terminating-series path.  Exact images

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from wnd import ladder
 from wnd.errors import ClosureOverflow, NotClosed, ParseError, UnknownMode
@@ -229,12 +230,10 @@ class TestAdjointMatrices:
 
     def test_rotation_action_on_lowering(self):
         # exp(-i F0 ad a'a) maps a to e^{i F0} a.
-        from wnd.engine import matrix_exp
-
         basis = LieBasis([number(), creation(), annihilation(), identity()])
         mats = adjoint_matrices(structure_constants(basis))
         f0 = 0.7
-        rot = matrix_exp(-1j * f0 * mats[0])
+        rot = scipy.linalg.expm(-1j * f0 * mats[0])
         e_a = np.zeros(4, dtype=complex)
         e_a[2] = 1.0
         np.testing.assert_allclose(rot @ e_a, np.exp(1j * f0) * e_a, atol=1e-14)
@@ -297,6 +296,11 @@ class TestParse:
         with pytest.raises(ParseError) as err:
             parse_polynomial("ad*+a*")
         assert err.value.position >= 3
+
+    @pytest.mark.parametrize("text", ["1e400*a", "1e200*1e200*ad", "a + 1e400"])
+    def test_non_finite_coefficient(self, text):
+        with pytest.raises(ParseError, match="not finite"):
+            parse_polynomial(text)
 
     def test_unknown_mode(self):
         with pytest.raises(UnknownMode):
