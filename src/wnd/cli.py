@@ -173,9 +173,10 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
 # ample because fidelity responds quadratically to state error (reported
 # fidelities resolve 1e-8 comfortably).  The oracle's CFM4 sub-step is
 # fourth order, so a base step of T/100 (halved once to T/200) meets that
-# drift on the driven scenarios, and constant-Hamiltonian scenarios converge
-# at the first refinement; each sub-step makes two exponentials, so a
-# midpoint-sized T/600 would double the cost for no gain.
+# drift on the driven scenarios; each sub-step makes two exponentials, so a
+# midpoint-sized T/600 would double the cost for no gain.  A constant H
+# (a matrix from fock.oracle_hamiltonian) is stepped exactly in one pass,
+# and the drift tolerance does not apply to it.
 _ORACLE_STEPS = 100
 _ORACLE_DRIFT = 1e-6
 

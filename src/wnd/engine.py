@@ -333,13 +333,21 @@ def rk45_on_grid(rhs, times, y0, rtol, atol, span, retry_singular=False):
     return values, accepted, rejected
 
 
+# An F far outside the chart overflows the factor exponentials of Xi and
+# their products to inf/nan.  _det_ratio then reads 0 and rhs raises
+# XiSingular (a non-finite F raises NonFinite), so numpy's overflow warnings
+# would only print noise before the typed error.  The state is entered once
+# per solve: entered around each Xi build and determinant, it cost about a
+# third of the engine time of a linear-resonant run.
+@np.errstate(over="ignore", invalid="ignore")
 def integrate(problem, rtol=1e-10, atol=1e-12, times=None, n_out=129):
     """Integrate the decoupling ODEs from F(0) = 0 over the problem span.
 
     Steps are clipped to land exactly on every requested output time, and
     |det Xi| (relative to its Hadamard bound) is recorded there.  Raises
     XiSingular with the failure time when the transfer matrix degenerates,
-    StepUnderflow when the step size collapses.
+    StepUnderflow when the step size collapses; numpy overflow on the way
+    there is not warned about.
     """
     T = problem.t_final
     if times is None:

@@ -1,51 +1,47 @@
 """Brute-force propagation in a truncated Fock basis.
 
 This is the package's ground truth: dense matrix images of ladder
-polynomials, coherent states, time-ordered propagators with step-halving
+polynomials, coherent states, a time-ordered propagator with step-halving
 refinement, and the ordered-exponential image of a decoupling trajectory.
 Every decoupled solution elsewhere in the package is tested against this
 module.
 
-The state oracle, :func:`propagate_state`, takes order-4 commutator-free
-Magnus (CFM4) sub-steps: H is sampled at the two Gauss-Legendre nodes of
-each sub-step and psi <- exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 +
-a2 H2)) psi, each exponential applied by a Taylor series scaled into
-ceil(|dt| ||.||_1) pieces of norm <= 1, so a time-dependent H is not
-diagonalised and no dense step matrix is formed; a constant H reuses its
-eigen step matrix exp(-i H dt) instead.  Its error falls as dt^4, so the
-CLI starts from T/100 and one halving usually meets the drift tolerance.
-:func:`propagate` builds the operator by second-order midpoint factors
-exp(-i H(t + dt/2) dt), one ``eigh`` per distinct H; only tests use it,
-and they pin that scheme, so it keeps it.  Both, and the density
-propagator in ``liouville``, run one grid-landing loop over sub-step
-midpoints and one step-halving loop.  :func:`oracle_hamiltonian` derives
-the oracle's H(t) from a decoupling problem.  The oracle shares two
-primitives with the ansatz replay below: the Fock images, from one band
-construction (:func:`to_matrix` places the bands in a dense matrix), which
-the tests pin against matrices built from :func:`destroy`; and the scaled
-Taylor action :func:`_taylor_step`, which the tests pin against
-``scipy.linalg.expm``.
+The oracle, :func:`propagate_state`, takes order-4 commutator-free Magnus
+(CFM4) sub-steps: H is sampled at the two Gauss-Legendre nodes of each
+sub-step and psi <- exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2))
+psi, each exponential applied by a Taylor series scaled into ceil(|dt|
+||.||_1) pieces of norm <= 1, so a time-dependent H is not diagonalised and
+no dense step matrix is formed.  Its error falls as dt^4, and a callable H
+is refined by step halving until the final state settles.  A matrix H is
+constant, so every sub-step is exactly its cached eigen step
+exp(-i H dt) and one pass is returned.  ``psi0`` may be a block of column
+states: :func:`propagate` is the oracle applied to the identity, which is
+how operator-level checks get U(t).  The density propagator in
+``liouville`` shares the grid-landing loop and the step-halving loop.
+:func:`oracle_hamiltonian` derives the oracle's H(t) from a decoupling
+problem.  The oracle shares two primitives with the ansatz replay below:
+the Fock images, from one band construction (:func:`to_matrix` places the
+bands in a dense matrix), which the tests pin against matrices built from
+:func:`destroy`; and the scaled Taylor action :func:`_taylor_step`, which
+the tests pin against ``scipy.linalg.expm``.
 
 The package has one exponential per form: :func:`_taylor_step` for an
 exponential acting on a vector (the oracle, the replay's multi-band
 factors and the density propagator in ``liouville``), ``scipy.linalg.expm``
 for a dense matrix.
 
-The ordered exponential prod_j exp(-i F_j M_j) is replayed in one of two
-ways by :func:`apply_ansatz`: as a dense operator (one ``expm`` per
-non-diagonal factor), which operator-level checks need, or acting on a
-state vector, so no dense product or dense exponential is formed.
-State-level checks use the second.  :func:`ansatz_matrices` classifies
-each generator image once, as a :class:`FactorImage` (a diagonal, one
-band, or a CSR matrix), so a replay of many rows does not inspect its
-factors again and a two-mode image is never dense.  On a state, diagonal
-factors multiply elementwise; a generator whose nonzeros lie on one
-off-diagonal (the image of every ladder monomial ad^p a^q with p != q, in
-one or two modes) is nilpotent, so its exponential is the terminating
-Taylor series, summed in full on the vector with elementwise products; any
-other generator (a CSR image) goes through :func:`_taylor_step`.  Dense
-matrices are accepted as well and classified on the way, with the same
-numbers.
+The ordered exponential prod_j exp(-i F_j M_j) is replayed by
+:func:`apply_ansatz` factor by factor on a state vector, or on a block of
+column states (the identity, for the operator itself), so no dense
+exponential is formed.  :func:`ansatz_matrices` classifies each generator
+image once, as a :class:`FactorImage` (a diagonal, one band, or a CSR
+matrix), so a replay of many rows does not inspect its factors again and a
+two-mode image is never dense.  Diagonal factors multiply elementwise; a
+generator whose nonzeros lie on one off-diagonal (the image of every ladder
+monomial ad^p a^q with p != q, in one or two modes) is nilpotent, so its
+exponential is the terminating Taylor series, summed in full with
+elementwise products; any other generator (a CSR image) goes through
+:func:`_taylor_step`.
 
 Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
@@ -272,8 +268,10 @@ def _taylor_step(op, dt, psi, norm=None):
     step is cut into ceil(|dt| ||op||_1) pieces, so every piece has norm
     <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
     (2011)); one piece when that product is not finite.  ``norm`` is
-    ||op||_1 (largest column sum) when the caller already knows it.  Each
-    piece sums terms until one falls below roundoff relative to psi.
+    ||op||_1 (largest column sum) when the caller already knows it.
+    ``psi`` is a vector or a block of column states.  Each piece sums terms
+    until one falls below roundoff relative to psi (its Frobenius norm for a
+    block).
     Raises NonConvergent when a piece needs more than _TAYLOR_MAX_TERMS
     terms, which only non-finite input can cause.
     """
@@ -311,17 +309,15 @@ _CFM4_A2 = 0.25 - np.sqrt(3.0) / 6.0
 
 
 class _ExpStepper:
-    """Exponential sub-steps with a cache for a repeated H.
+    """CFM4 sub-steps with a cache for a repeated H.
 
-    ``step_matrix`` forms the dense factor exp(-i H dt) from an
-    eigendecomposition, which the midpoint operator propagation needs.
-    ``cfm4_state`` applies one CFM4 sub-step to a vector: when its two
-    samples are equal (a constant drive) the step is exactly exp(-i H dt),
-    taken from the cached eigen step matrix of that H; otherwise each of its
-    two exponentials goes through :func:`_taylor_step`, so a
-    time-dependent H is not diagonalised.  Every H that differs from the
-    previous evaluation is checked for Hermiticity (raises NonHermitian,
-    also for a non-finite H).
+    ``cfm4_state`` applies one CFM4 sub-step to a state or a block of column
+    states: when its two samples are equal (a constant drive) the step is
+    exactly exp(-i H dt), taken from the eigen step matrix cached for that H
+    and dt; otherwise each of its two exponentials goes through
+    :func:`_taylor_step`, so a time-dependent H is not diagonalised.  Every
+    H that differs from the previous evaluation is checked for Hermiticity
+    (raises NonHermitian, also for a non-finite H).
     """
 
     def __init__(self):
@@ -351,10 +347,6 @@ class _ExpStepper:
             self._step = (v * np.exp(-1j * w * dt)) @ v.conj().T
             self._dt = dt
         return self._step
-
-    def step_matrix(self, h, dt):
-        self._is_repeat(h)
-        return self._cached_step(dt)
 
     def cfm4_state(self, h1, h2, dt, psi):
         """One CFM4 sub-step of size ``dt`` on ``psi`` from the samples
@@ -401,58 +393,41 @@ def _refine(run, endpoint, tol, max_refinements, what):
     )
 
 
-def _time_ordered(h_eval, t0, t1, n_steps):
-    stepper = _ExpStepper()
+def propagate(hamiltonian, t_final, dt=None, drift_tol=1e-9, max_refinements=12):
+    """Time-ordered propagator U(t_final, 0).
 
-    def step(mid, dt, u):
-        return stepper.step_matrix(h_eval(mid), dt) @ u
-
-    dim = h_eval(t0).shape[0]
-    u0 = np.eye(dim, dtype=complex)
-    return _midpoint_pass(step, u0, (t0, t1), [n_steps])[-1]
-
-
-def propagate(hamiltonian, span, dt=None, drift_tol=1e-9, max_refinements=12):
-    """Time-ordered propagator over ``span`` by midpoint-rule exponentials.
-
-    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix.  The
-    step U <- exp(-i H(t + dt/2) dt) U is second-order accurate; the step is
-    halved until the endpoint moves by at most ``drift_tol`` (max-abs over
-    entries), and the finer result is returned.  Raises NonConvergent at the
-    halving floor.  The CLI's oracle is :func:`propagate_state`; this
-    operator path serves operator-level checks and stays on the midpoint
-    rule those checks pin.
+    :func:`propagate_state` applied to the identity, as a block of column
+    states, on the grid [0, t_final], with the same ``hamiltonian`` forms,
+    step policy and errors; column k is the trajectory of basis state k.
     """
-    t0, t1 = (0.0, float(span)) if np.ndim(span) == 0 else map(float, span)
-    if t1 <= t0:
-        raise ValueError("empty propagation span")
-    h_eval = hamiltonian if callable(hamiltonian) else (lambda _t: hamiltonian)
-    width = t1 - t0
-    if dt is None:
-        dt = width / 2000.0
-    if dt > width / 100.0:
-        raise ValueError("dt must be at most span/100")
-    n = max(100, int(np.ceil(width / dt)))
-    return _refine(lambda scale: _time_ordered(h_eval, t0, t1, n * scale),
-                   lambda u: u, drift_tol, max_refinements, "midpoint propagator")
+    h0 = hamiltonian(0.0) if callable(hamiltonian) else hamiltonian
+    eye = np.eye(np.shape(h0)[0], dtype=complex)
+    return propagate_state(hamiltonian, eye, [0.0, float(t_final)], dt=dt,
+                           drift_tol=drift_tol,
+                           max_refinements=max_refinements)[-1]
 
 
 def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
                     max_refinements=10):
     """State trajectory under the order-4 commutator-free Magnus propagator.
 
-    Sub-steps land exactly on the output grid, and dt is halved until the
-    final state moves by at most ``drift_tol`` (max-abs), as in
-    :func:`propagate`.  Each sub-step samples H at the two Gauss-Legendre
-    nodes t + (1/2 -+ sqrt(3)/6) dt and applies the two CFM4 exponentials
-    to the vector by scaled Taylor series (no ``eigh``, no dense step
-    matrix), so the error falls as dt^4 rather than the midpoint rule's
-    dt^2.  When the two samples are equal the step is exactly
-    exp(-i H dt), taken from the cached eigen step matrix of that H, so a
-    constant H costs one ``eigh`` per refinement pass.  Raises
-    NonHermitian for a non-Hermitian or non-finite H, and NonConvergent
-    when the refinement does not settle or a Taylor series meets a
-    non-finite state.  Returns an array of shape (len(times), dim).
+    Sub-steps land exactly on the output grid.  Each samples H at the two
+    Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt and applies the two CFM4
+    exponentials by scaled Taylor series (no ``eigh``, no dense step
+    matrix), so the error falls as dt^4.  When the two samples are equal
+    the step is exactly exp(-i H dt), taken from the cached eigen step
+    matrix of that H.
+
+    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix.  A
+    matrix is constant, so its sub-steps are exact and one pass of one
+    ``eigh`` is returned.  For a callable, dt is halved until the final
+    state moves by at most ``drift_tol`` (max-abs); sampling cannot show
+    that a callable is constant, so it is always refined.  ``psi0`` is a
+    state of shape (dim,) or a block of k column states of shape (dim, k).
+    Raises NonHermitian for a non-Hermitian or non-finite H, and
+    NonConvergent when the refinement does not settle or a Taylor series
+    meets a non-finite state.  Returns an array of shape (len(times), dim),
+    or (len(times), dim, k) for a block.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -476,18 +451,15 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
         return np.array(_midpoint_pass(step, psi0, times,
                                        _sub_steps(times, dt / scale)))
 
+    if not callable(hamiltonian):
+        return run(1)
     return _refine(run, lambda states: states[-1], drift_tol, max_refinements,
                    "state propagation")
 
 
-def _is_diagonal(mat):
-    return np.count_nonzero(mat - np.diag(np.diagonal(mat))) == 0
-
-
 def factor_exponential(coefficient, mat):
-    """exp(-i * coefficient * mat), exploiting diagonal generators."""
-    if _is_diagonal(mat):
-        return np.diag(np.exp(-1j * coefficient * np.diagonal(mat)))
+    """exp(-i * coefficient * mat) by ``scipy.linalg.expm``, which takes a
+    diagonal ``mat`` elementwise."""
     return scipy.linalg.expm(-1j * coefficient * mat)
 
 
@@ -496,7 +468,7 @@ class FactorImage:
 
     ``offset`` 0: ``data`` is the diagonal; another int: ``data`` is the one
     band ``np.diagonal(M, offset)`` that holds every nonzero; None: ``data``
-    is the matrix itself (dense, or CSR when built from a polynomial).
+    is M in CSR.
     """
 
     __slots__ = ("shape", "offset", "data")
@@ -506,17 +478,12 @@ class FactorImage:
         self.offset = offset
         self.data = data
 
-    def toarray(self):
-        if self.offset is None:
-            return self.data.toarray() if scipy.sparse.issparse(self.data) else self.data
-        return np.diag(self.data, self.offset)
 
-
-def _classify(dim, bands, matrix=None):
+def _classify(dim, bands):
     """FactorImage from the bands of M (``{offset: np.diagonal(M, offset)}``).
 
     Bands with no nonzero are dropped.  M with more than one band left is
-    kept as ``matrix`` when given, else assembled in CSR from the bands.
+    assembled in CSR from the bands.
     """
     bands = {k: band for k, band in bands.items() if np.any(band)}
     if not bands:
@@ -524,20 +491,8 @@ def _classify(dim, bands, matrix=None):
     if len(bands) == 1:
         (offset, band), = bands.items()
         return FactorImage(dim, offset, band)
-    if matrix is None:
-        matrix = scipy.sparse.diags(list(bands.values()), list(bands),
-                                    shape=(dim, dim), format="csr")
-    return FactorImage(dim, None, matrix)
-
-
-def _as_image(mat):
-    """A FactorImage as is; a dense matrix classified by its nonzeros."""
-    if isinstance(mat, FactorImage):
-        return mat
-    rows, cols = np.nonzero(mat)
-    offsets = np.unique(cols - rows)
-    return _classify(mat.shape[0], {int(k): np.diagonal(mat, k) for k in offsets},
-                     mat)
+    return FactorImage(dim, None, scipy.sparse.diags(
+        list(bands.values()), list(bands), shape=(dim, dim), format="csr"))
 
 
 def ansatz_matrices(basis, cutoff):
@@ -552,7 +507,8 @@ def ansatz_matrices(basis, cutoff):
 
 def _banded_exp_action(coefficient, band, offset, psi):
     """exp(coefficient * M) @ psi for M with entries ``band`` on the single
-    off-diagonal ``offset`` (``band = np.diagonal(M, offset)``).
+    off-diagonal ``offset`` (``band = np.diagonal(M, offset)``); ``psi`` is
+    a vector or a block of column states.
 
     M^k lives on diagonal k * offset, so M is nilpotent and the Taylor series
     ends after ceil(dim / |offset|) terms.  Every term is summed on its
@@ -561,7 +517,7 @@ def _banded_exp_action(coefficient, band, offset, psi):
     coefficient and the series has no truncation error.
     """
     step = abs(offset)
-    scaled = coefficient * band
+    scaled = (coefficient * band).reshape((-1,) + (1,) * (psi.ndim - 1))
     out = psi.copy()
     term = psi
     k = 1
@@ -580,20 +536,19 @@ def _banded_exp_action(coefficient, band, offset, psi):
 
 
 def apply_ansatz(f_values, matrices, state=None):
-    """Ordered product U = prod_j exp(-i F_j M_j), or its action U @ state.
+    """Ordered product U = prod_j exp(-i F_j M_j) acting on ``state``.
 
     ``f_values`` may come straight from ``CoefficientTrajectory.final``;
-    ``matrices`` are the :class:`FactorImage` list of
-    :func:`ansatz_matrices` or dense matrices (classified on each call).
-    Without ``state`` the dense operator U is returned (one dense ``expm``
-    per non-diagonal factor).  With ``state`` the factors act right to left
-    on the vector and U @ state is returned without forming U: diagonal
+    ``matrices`` is the :class:`FactorImage` list of :func:`ansatz_matrices`.
+    The factors act right to left on ``state``, a vector or a block of
+    column states, and U @ state is returned without forming U; without
+    ``state`` they act on the identity, which returns U.  Diagonal
     generators multiply elementwise by exp(-i F_j diag M_j); a generator
     with its nonzeros on one off-diagonal is nilpotent and its terminating
-    Taylor series is summed on the vector without BLAS calls; every other
-    generator goes through :func:`_taylor_step`, the scaled Taylor series
-    of the oracle, in ceil(|F_j| ||M_j||_1) pieces.  Rejects non-finite
-    coefficients and a coefficient/matrix count mismatch on both paths.
+    Taylor series is summed without BLAS calls; every other generator goes
+    through :func:`_taylor_step`, the scaled Taylor series of the oracle, in
+    ceil(|F_j| ||M_j||_1) pieces.  Rejects non-finite coefficients and a
+    coefficient/matrix count mismatch.
     """
     f_values = np.asarray(f_values, dtype=complex)
     if not np.all(np.isfinite(f_values)):
@@ -601,17 +556,12 @@ def apply_ansatz(f_values, matrices, state=None):
     if len(f_values) != len(matrices):
         raise ValueError("coefficient/matrix count mismatch")
     if state is None:
-        dim = matrices[0].shape[0]
-        u = np.eye(dim, dtype=complex)
-        for f, m in zip(f_values, matrices):
-            u = u @ factor_exponential(f, m.toarray() if isinstance(m, FactorImage)
-                                       else m)
-        return u
+        state = np.eye(matrices[0].shape[0])
     psi = np.asarray(state, dtype=complex)
-    for f, m in zip(f_values[::-1], matrices[::-1]):
-        image = _as_image(m)
+    column = (-1,) + (1,) * (psi.ndim - 1)
+    for f, image in zip(f_values[::-1], matrices[::-1]):
         if image.offset == 0:
-            psi = np.exp(-1j * f * image.data) * psi
+            psi = np.exp(-1j * f * image.data).reshape(column) * psi
         elif image.offset is not None:
             psi = _banded_exp_action(-1j * f, image.data, image.offset, psi)
         else:

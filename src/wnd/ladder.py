@@ -679,10 +679,6 @@ def jacobi_residual(c):
     return float(np.max(np.abs(total))) if total.size else 0.0
 
 
-def antisymmetry_residual(c):
-    return float(np.max(np.abs(c + np.transpose(c, (1, 0, 2)))))
-
-
 def adjoint_matrices(c):
     """Adjoint-representation matrices M_j with (M_j)[l, k] = c[j][k][l].
 

@@ -168,7 +168,7 @@ def _check_density(rho):
 
 
 def propagate_density(generator, rho0, t_final, dt=None, times=None,
-                      trace_tol=1e-9, max_refinements=8, refine=True):
+                      trace_tol=1e-9, max_refinements=8):
     """Time-ordered short-step exponential propagation of a density matrix.
 
     ``generator`` is a Lindbladian matrix, dense or sparse, converted once
@@ -177,11 +177,12 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
     series on the vector with the CSR generator i L, cut into ceil(dt
     ||L||_1) pieces of norm <= 1 and summed to roundoff, so no dense
     exponential is formed.  Each step restores Hermiticity by
-    symmetrisation (the drift is logged on the trajectory); with ``refine``
-    the step is halved until the endpoint moves by less than ``trace_tol``.
-    Raises TraceDrift when the trace wanders beyond tolerance,
-    NonConvergent at the refinement floor or when a Taylor series meets a
-    non-finite generator or state.
+    symmetrisation (the drift is logged on the trajectory).  A matrix is
+    constant, so every step is exact to roundoff and one pass is returned;
+    for a callable the step is halved until the endpoint moves by less than
+    ``trace_tol``.  Raises TraceDrift when the trace wanders beyond
+    tolerance, NonConvergent at the refinement floor or when a Taylor
+    series meets a non-finite generator or state.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density(rho0)
@@ -219,7 +220,7 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                                  trace_drift=trace_drift,
                                  hermiticity_drift=herm_drift)
 
-    if not refine:
+    if static is not None:
         return run(1)
     return fock._refine(run, lambda traj: traj.matrices[-1], trace_tol,
                         max_refinements, "density propagation")

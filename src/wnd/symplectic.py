@@ -44,11 +44,6 @@ def hamiltonian_matrix(lam_plus, lam_minus):
     return h, -0.5
 
 
-def flow_generator(h):
-    """Right-hand-side matrix A(t) with dS/dt = A S."""
-    return FLOW @ h
-
-
 @dataclass
 class SymplecticTrajectory:
     """First-moment transfer matrices S(t) on a grid; shape (len, 2, 2)."""

@@ -344,7 +344,7 @@ def test_criterion_7_liouville_suite():
     dt = t_final / 400.0
     traj = liouville.propagate_density(gen, rho0, t_final, dt=dt, times=times)
     ref = liouville.propagate_density(gen, rho0, t_final, dt=dt / 16.0,
-                                      times=times, refine=False)
+                                      times=times)
     crit.check(
         "trace drift <= 1e-9", traj.trace_drift <= 1e-9,
         f"{traj.trace_drift:.3e}",

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -126,6 +127,20 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert "solver error" in err
         assert "t=" in err
+
+    def test_chart_overflow_is_one_line_exit_3(self, tmp_path, capsys):
+        # kappa=1e9 throws F out of the chart in the first step: the factor
+        # exponentials in Xi overflow and |det Xi| reads 0.  The run ends
+        # with the typed error alone, with no numpy warning before it.
+        out = tmp_path / "never.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run_cli(["run", "open-damped", "kappa=1e9", "n_out=5", "T=1",
+                            "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -172,25 +172,6 @@ class TestPropagate:
         ansatz = fock.ansatz_state(traj, cutoff, psi0)
         assert fock.fidelity(ansatz, u @ psi0) >= 1 - 1e-8
 
-    def test_second_order_convergence(self):
-        # Midpoint error against a 4x finer reference scales as dt^2.
-        cutoff = 10
-        t_final = 1.0
-        a = fock.destroy(cutoff)
-        h_free, h_dr = fock.number_op(cutoff), a.conj().T + a
-
-        def h(t):
-            return h_free + 0.4 * np.cos(2.1 * t) * h_dr
-
-        def raw(n):
-            return fock._time_ordered(h, 0.0, t_final, n)
-
-        ref = raw(1600)
-        e1 = np.max(np.abs(raw(100) - ref))
-        e2 = np.max(np.abs(raw(200) - ref))
-        ratio = e1 / e2
-        assert 2.0 <= ratio <= 8.0  # dt^2 within a factor of two of 4
-
     def test_unitarity_on_low_block(self):
         cutoff = 20
         a = fock.destroy(cutoff)
@@ -221,6 +202,21 @@ class TestPropagate:
         with pytest.raises(NonConvergent):
             fock.propagate(h, 2.0, dt=2.0 / 100, drift_tol=1e-14,
                            max_refinements=1)
+
+    def test_columns_are_state_trajectories(self):
+        # U is the state oracle run on the identity block: column k is the
+        # propagated basis state e_k.  An infinite drift tolerance stops both
+        # sides after one halving, so only the Taylor series' roundoff
+        # criterion (whole block against one vector) differs.
+        cutoff, span = 10, 2.0
+        h = _driven_hamiltonian(cutoff, lambda t: 0.3 * np.cos(1.1 * t),
+                                lambda t: 0.05 * np.exp(2j * t))
+        u = fock.propagate(h, span, dt=span / 100, drift_tol=np.inf)
+        for k in range(cutoff + 1):
+            e_k = np.eye(cutoff + 1)[k]
+            col = fock.propagate_state(h, e_k, [0.0, span], dt=span / 100,
+                                       drift_tol=np.inf)[-1]
+            assert np.max(np.abs(u[:, k] - col)) <= 1e-12
 
 
 # A sub-step of size dt from t is a product of exponentials, the first row
@@ -394,15 +390,34 @@ class TestPropagateState:
         assert len(passes) >= 2
         assert 1 <= len(calls) <= len(passes)
 
+    def test_constant_matrix_h_one_pass(self, monkeypatch):
+        # A matrix H is constant, so its eigen steps are exact: one pass and
+        # one eigh, as accurate as the refined run of the same H as a
+        # callable.
+        calls = self._count_eigh(monkeypatch)
+        passes = []
+        real = fock._ExpStepper
+        monkeypatch.setattr(fock, "_ExpStepper",
+                            lambda: passes.append(1) or real())
+        h_mat = _driven_hamiltonian(self.CUTOFF, lambda t: 0.2,
+                                    lambda t: 0.05)(0.0)
+        psi0 = fock.coherent_state(1.0, self.CUTOFF)
+        times = np.linspace(0.0, 1.0, 5)
+        once = fock.propagate_state(h_mat, psi0, times, dt=0.01)
+        assert (len(passes), len(calls)) == (1, 1)
+        refined = fock.propagate_state(lambda t: h_mat, psi0, times, dt=0.01)
+        assert np.max(np.abs(once - refined)) <= 1e-12
+
     def test_step_matrix_reused_across_float_dust_in_dt(self):
         # Uniform output grids give sub-step sizes that differ by roundoff;
         # those reuse the cached step matrix, a genuinely new dt does not.
         h = fock.number_op(8)
         stepper = fock._ExpStepper()
-        first = stepper.step_matrix(h, 0.01)
-        assert stepper.step_matrix(h, 0.01 * (1 + 1e-15)) is first
-        assert stepper.step_matrix(h, 0.01 * (1 - 1e-15)) is first
-        assert stepper.step_matrix(h, 0.02) is not first
+        stepper._is_repeat(h)
+        first = stepper._cached_step(0.01)
+        assert stepper._cached_step(0.01 * (1 + 1e-15)) is first
+        assert stepper._cached_step(0.01 * (1 - 1e-15)) is first
+        assert stepper._cached_step(0.02) is not first
 
     def test_large_norm_step_matches_expm(self, monkeypatch):
         # dt ||.||_1 ~ 150-170 for the two CFM4 exponentials at cutoff 200:
@@ -496,6 +511,14 @@ class TestOracleHamiltonian:
             assert np.max(np.abs(got - want(t))) <= 1e-12
 
 
+def _image_dense(image):
+    """Dense matrix of a FactorImage: its diagonal or band placed at its
+    offset, or its CSR matrix densified."""
+    if image.offset is None:
+        return image.data.toarray()
+    return np.diag(image.data, image.offset)
+
+
 class TestApplyAnsatz:
     def test_all_zero_is_identity(self):
         mats = fock.ansatz_matrices(gaussian.linear_basis(), 8)
@@ -514,7 +537,8 @@ class TestApplyAnsatz:
         f_minus = np.conj(f_plus)
         z = -1j * f_plus
         a = fock.destroy(cutoff)
-        mats = [a.conj().T, a]
+        mats = fock.ansatz_matrices([ladder.creation(), ladder.annihilation()],
+                                    cutoff)
         prod = fock.apply_ansatz([f_plus, f_minus], mats)
         direct = scipy.linalg.expm(z * a.conj().T - np.conj(z) * a)
         central = np.exp(-abs(z) ** 2 / 2)
@@ -570,9 +594,11 @@ class TestApplyAnsatz:
     )
     def test_state_path_matches_operator(self, basis, cutoff):
         # Complex coefficients make the factors non-unitary and the product
-        # can grow by many orders of magnitude, so the two paths are
-        # compared relative to the size of the result.
+        # can grow by many orders of magnitude, so the replay is compared
+        # with the product of dense exponentials relative to the size of the
+        # result.
         mats = fock.ansatz_matrices(basis, cutoff)
+        dense = [fock.to_matrix(e, cutoff) for e in basis]
         dim = mats[0].shape[0]
         rng = np.random.default_rng(20111)
         for _ in range(20):
@@ -581,9 +607,36 @@ class TestApplyAnsatz:
                 2j * np.pi * rng.uniform(size=n))
             psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             psi /= np.linalg.norm(psi)
-            dense = fock.apply_ansatz(f, mats) @ psi
+            want = np.eye(dim)
+            for f_j, mat in zip(f, dense):
+                want = want @ scipy.linalg.expm(-1j * f_j * mat)
+            want = want @ psi
             state = fock.apply_ansatz(f, mats, psi)
-            assert np.linalg.norm(state - dense) <= 1e-12 * np.linalg.norm(dense)
+            assert np.linalg.norm(state - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "basis,cutoff",
+        [
+            (gaussian.linear_basis(), 8),
+            (gaussian.combined_basis(), 8),
+            (ladder.close_algebra([ladder.parse_polynomial(g, n_modes=2)
+                                   for g in ("ad*b + a*bd", "ad*a")]), (3, 3)),
+        ],
+        ids=["linear", "combined", "two-mode"],
+    )
+    def test_operator_columns_are_state_replays(self, basis, cutoff):
+        # Without a state the factors act on the identity block: column k
+        # of U is the replay of e_k.  Diagonal and one-band factors act on
+        # each column alone; a multi-band factor's Taylor series stops on
+        # the block's norm, so its columns agree to roundoff.
+        mats = fock.ansatz_matrices(basis, cutoff)
+        dim = mats[0].shape[0]
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
+        u = fock.apply_ansatz(f, mats)
+        for k in range(dim):
+            col = fock.apply_ansatz(f, mats, np.eye(dim)[k])
+            assert np.linalg.norm(u[:, k] - col) <= 1e-12 * np.linalg.norm(col)
 
     @pytest.mark.parametrize(
         "basis,cutoff",
@@ -596,19 +649,11 @@ class TestApplyAnsatz:
         ids=["linear", "combined", "two-mode-monomials"],
     )
     def test_images_match_dense_matrices(self, basis, cutoff):
-        # The classified images give the numbers the dense images give, bit
-        # for bit, on both paths.
+        # The classified images hold the numbers of the dense images, bit
+        # for bit.
         images = fock.ansatz_matrices(basis, cutoff)
-        dense = [fock.to_matrix(e, cutoff) for e in basis]
-        for image, mat in zip(images, dense):
-            assert np.array_equal(image.toarray(), mat)
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        psi = rng.normal(size=dense[0].shape[0]) + 0j
-        assert np.array_equal(fock.apply_ansatz(f, images, psi),
-                              fock.apply_ansatz(f, dense, psi))
-        assert np.array_equal(fock.apply_ansatz(f, images),
-                              fock.apply_ansatz(f, dense))
+        for image, elem in zip(images, basis):
+            assert np.array_equal(_image_dense(image), fock.to_matrix(elem, cutoff))
 
     def test_image_kinds(self):
         # A diagonal, one band, or a sparse matrix; two-mode images hold
@@ -624,7 +669,7 @@ class TestApplyAnsatz:
         assert scipy.sparse.issparse(images["ad*b + a*bd"].data)
         for text, image in images.items():
             assert image.shape == (961, 961)
-            np.testing.assert_array_equal(image.toarray(),
+            np.testing.assert_array_equal(_image_dense(image),
                                           fock.to_matrix(polys[text], cutoff))
 
     def test_multiband_factor_by_taylor_pieces(self, monkeypatch):
@@ -642,7 +687,7 @@ class TestApplyAnsatz:
             [ladder.parse_polynomial("ad*b + a*bd", n_modes=2)])
         image = fock.ansatz_matrices(basis, cutoff)[0]
         assert image.offset is None
-        dense = image.toarray()
+        dense = image.data.toarray()
         f = 0.5 - 4.2j  # mostly imaginary: |F|, not Re F, sets the pieces
         assert abs(f) * np.max(np.sum(np.abs(dense), axis=0)) >= 20
         rng = np.random.default_rng(11)
@@ -658,8 +703,10 @@ class TestApplyAnsatz:
         # a^k|n> = sqrt(n!/(n-k)!)|n-k>, so each factor applied to a number
         # state is a finite sum with closed-form coefficients.
         cutoff = 80
-        a = fock.destroy(cutoff)
-        ad = a.conj().T
+        ad, a = fock.ansatz_matrices(
+            [ladder.creation(), ladder.annihilation()], cutoff)
+        ad_sq, = fock.ansatz_matrices([ladder.creation() * ladder.creation()],
+                                      cutoff)
         c = -1j * f
         vac = fock.coherent_state(0.0, cutoff)
         top = np.zeros(cutoff + 1, dtype=complex)
@@ -674,7 +721,7 @@ class TestApplyAnsatz:
         ]
         two = np.zeros(cutoff + 1, dtype=complex)
         two[2 * half] = c ** half * np.exp(0.5 * gammaln(2 * half + 1) - gammaln(half + 1))
-        cases.append((ad @ ad, vac, two))
+        cases.append((ad_sq, vac, two))
         for gen, psi, expected in cases:
             got = fock.apply_ansatz([f], [gen], psi)
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)

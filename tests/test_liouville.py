@@ -216,13 +216,33 @@ class TestPropagateDensity:
         times = np.linspace(0.0, 5.0, 11)
         traj = liouville.propagate_density(gen, rho0, 5.0, dt=5 / 400, times=times)
         ref = liouville.propagate_density(gen, rho0, 5.0, dt=5 / 400 / 16,
-                                          times=times, refine=False)
+                                          times=times)
         a_mean = traj.expectation(a)
         np.testing.assert_allclose(a_mean, ref.expectation(a), atol=1e-6)
         np.testing.assert_allclose(
             a_mean, np.exp((-1j - kappa / 2) * times), atol=1e-6
         )
         assert traj.trace_drift <= 1e-9
+
+    def test_constant_generator_one_pass(self, monkeypatch):
+        # Each Taylor step of a constant generator is exact to roundoff, so
+        # a matrix L takes one pass, one step per sub-step, and halving dt
+        # moves no row beyond roundoff.
+        cutoff, kappa, t_final = 16, 0.5, 5.0
+        gen = liouville.build_lindbladian(
+            fock.number_op(cutoff), [fock.destroy(cutoff)], [[kappa]])
+        rho0 = _coherent_density(1.0, cutoff)
+        times = np.linspace(0.0, t_final, 11)
+        dt = t_final / 400
+        steps = []
+        real = fock._taylor_step
+        monkeypatch.setattr(fock, "_taylor_step",
+                            lambda *a: steps.append(1) or real(*a))
+        once = liouville.propagate_density(gen, rho0, t_final, dt=dt, times=times)
+        assert len(steps) == sum(fock._sub_steps(times, dt)) == 400
+        half = liouville.propagate_density(gen, rho0, t_final, dt=dt / 2,
+                                           times=times)
+        assert np.max(np.abs(once.matrices - half.matrices)) <= 1e-13
 
     def test_zero_rate_matches_unitary(self):
         cutoff = 14
@@ -328,7 +348,7 @@ class TestTaylorStep:
         assert dt * np.max(np.sum(np.abs(dense), axis=0)) > 10
         rho0 = _coherent_density(0.8, cutoff)
         traj = liouville.propagate_density(gen, rho0, t_final, dt=dt,
-                                           times=[0.0, t_final], refine=False)
+                                           times=[0.0, t_final])
         want = scipy.linalg.expm(dense * t_final) @ liouville.vectorize(rho0)
         assert np.max(np.abs(traj.final - liouville.devectorize(want))) <= 1e-12
 
