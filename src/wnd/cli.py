@@ -302,12 +302,13 @@ def _unitary_scenario(scenario, params):
 def run_open_damped(params):
     """Damped cavity (H = N, jump a at rate kappa).
 
-    The oracle is the Liouville propagation of the sparse generator; the
-    decoupled solution comes from ``liouville.lindblad_problem`` over the
-    closed superalgebra, integrated at the run's rtol/atol and replayed on
-    vec(rho0) with two-mode cutoff (cutoff, cutoff).  ``fidelity`` is the
-    normalised Hilbert-Schmidt overlap of the two; X and P are means over
-    the oracle rows.
+    The oracle is the Liouville propagation of the sparse generator built
+    from the ``fock.to_matrix`` images of the same H and jump that define the
+    decoupling problem; the decoupled solution comes from
+    ``liouville.lindblad_problem`` over the closed superalgebra, integrated
+    at the run's rtol/atol and replayed on vec(rho0) with two-mode cutoff
+    (cutoff, cutoff).  ``fidelity`` is the normalised Hilbert-Schmidt
+    overlap of the two; X and P are means over the oracle rows.
     """
     cutoff = params["cutoff"]
     kappa = params["kappa"]
@@ -316,14 +317,16 @@ def run_open_damped(params):
     psi0 = fock.coherent_state(params["alpha"], cutoff)
     rho0 = np.outer(psi0, psi0.conj())
 
-    problem = liouville.lindblad_problem(
-        ladder.number(), [ladder.annihilation()], [[kappa]], T)
+    # One description of the cavity feeds both the engine and the oracle.
+    hamiltonian, jumps, rates = ladder.number(), [ladder.annihilation()], [[kappa]]
+    problem = liouville.lindblad_problem(hamiltonian, jumps, rates, T)
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
     replay = _ansatz_states(traj, (cutoff, cutoff), liouville.vectorize(rho0))
 
     gen = liouville.build_lindbladian(
-        fock.number_op(cutoff), [fock.destroy(cutoff)], [[kappa]])
+        fock.to_matrix(hamiltonian, cutoff),
+        [fock.to_matrix(jump, cutoff) for jump in jumps], rates)
     oracle = liouville.propagate_density(gen, rho0, T, dt=T / 400.0,
                                          times=times).matrices
 

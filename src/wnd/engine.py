@@ -256,15 +256,14 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def rk45_on_grid(rhs, times, y0, rtol, atol, span, retry_singular=False):
+def rk45_on_grid(rhs, times, y0, rtol, atol, span):
     """Adaptive 5(4) stepping that lands exactly on every grid time.
 
     Initial step span/1000, safety factor 0.9, maximum step span/10, step
-    floor 1e-12 span (StepUnderflow below it).  With ``retry_singular``,
-    XiSingular raised by the right-hand side is treated as a rejected step
-    and the step is halved, so the failure time is resolved sharply before
-    the error propagates.  Returns (values[len(times), n], accepted,
-    rejected).
+    floor 1e-12 span (StepUnderflow below it).  XiSingular raised by the
+    right-hand side is treated as a rejected step and the step is halved, so
+    the failure time is resolved sharply before the error propagates.
+    Returns (values[len(times), n], accepted, rejected).
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
@@ -298,8 +297,6 @@ def rk45_on_grid(rhs, times, y0, rtol, atol, span, retry_singular=False):
             y_new = y + h_try * (k.T @ _B5)
             err = h_try * (k.T @ _ERR)
         except XiSingular:
-            if not retry_singular:
-                raise
             rejected += 1
             if h_try <= floor * 2:
                 raise
@@ -355,9 +352,7 @@ def integrate(problem, rtol=1e-10, atol=1e-12, times=None, n_out=129):
     times = np.asarray(times, dtype=float)
 
     y0 = np.zeros(problem.dim, dtype=complex)
-    values, accepted, rejected = rk45_on_grid(
-        problem.rhs, times, y0, rtol, atol, T, retry_singular=True
-    )
+    values, accepted, rejected = rk45_on_grid(problem.rhs, times, y0, rtol, atol, T)
     # Xi at every output point in one stacked build.
     det_ratio = _det_ratio(problem._xi(values))
     values = values.T.copy()

@@ -12,7 +12,9 @@ normal-ordered by construction.
 
 The module also provides the Lie-algebra machinery built on top of the
 polynomials: commutators, closure of a generator set, structure constants and
-adjoint-representation matrices.
+adjoint-representation matrices.  Every span question is one least-squares
+fit, judged at the size the tested polynomial was computed at (see
+INDEPENDENCE_TOL), so rescaling a generator never changes a closure.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ import math
 import re
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ClosureOverflow, ModeMismatch, NotClosed, ParseError, UnknownMode
 
-# Rank threshold for linear-independence decisions, relative to the largest
-# coefficient involved.
+# A polynomial is in a span when its least-squares residual (largest
+# coefficient) is at most this fraction of the size it was computed at: its
+# own largest coefficient, or |p|*|q| for a commutator [p, q].
 INDEPENDENCE_TOL = 1e-10
 
 _MODE_TOKENS = {"a": (0, False), "ad": (0, True), "b": (1, False), "bd": (1, True)}
@@ -480,43 +482,46 @@ def coefficient_matrix(polys):
     return mat, signatures
 
 
-def _rank(mat, tol):
-    if mat.size == 0:
-        return 0
-    r = scipy.linalg.qr(mat, mode="r", pivoting=True)[0]
-    diag = np.abs(np.diag(r))
-    if diag.size == 0:
-        return 0
-    return int(np.count_nonzero(diag > tol * max(diag[0], 1e-300)))
+def _fit(basis_polys, targets):
+    """Least-squares coordinates of each target in the span of ``basis_polys``.
+
+    Basis columns are scaled to unit largest entry, so lstsq's cutoff sees
+    each element at its own size.  Returns (coords, misfit): coords[:, t]
+    fits targets[t], and misfit(x) is each target's largest residual
+    coefficient at coordinates x.
+    """
+    n = len(basis_polys)
+    mat, _ = coefficient_matrix(list(basis_polys) + list(targets))
+    cols, rhs = mat[:, :n], mat[:, n:]
+    scale = np.max(np.abs(cols), axis=0, initial=0.0)
+    scale[scale == 0] = 1.0
+    coords = np.linalg.lstsq(cols / scale, rhs, rcond=None)[0] / scale[:, None]
+
+    def misfit(x):
+        return np.max(np.abs(cols @ x - rhs), axis=0, initial=0.0)
+
+    return coords, misfit
 
 
 def is_independent(candidate, basis_polys, tol=INDEPENDENCE_TOL):
     """True when ``candidate`` is outside the span of ``basis_polys``."""
-    if candidate.is_zero:
-        return False
-    if not basis_polys:
-        return True
-    with_c, _ = coefficient_matrix(list(basis_polys) + [candidate])
-    return _rank(with_c, tol) > _rank(with_c[:, :-1], tol)
+    coords, misfit = _fit(basis_polys, [candidate])
+    return bool(misfit(coords)[0] > tol * candidate.max_abs_coeff())
 
 
 def coordinates_in_basis(poly, basis_polys, tol=1e-12):
     """Coordinates of ``poly`` in the span of ``basis_polys``.
 
     Raises NotClosed when the least-squares residual exceeds ``tol`` relative
-    to the polynomial scale.
+    to the polynomial's largest coefficient.
     """
-    mat, signatures = coefficient_matrix(list(basis_polys) + [poly])
-    rhs = mat[:, -1]
-    mat = mat[:, :-1]
-    coords, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    residual = np.max(np.abs(mat @ coords - rhs)) if rhs.size else 0.0
-    scale = max(poly.max_abs_coeff(), 1.0)
-    if residual > tol * scale:
+    coords, misfit = _fit(basis_polys, [poly])
+    residual = misfit(coords)[0]
+    if residual > tol * poly.max_abs_coeff():
         raise NotClosed(
             f"element {poly} lies outside the span (residual {residual:.3e})"
         )
-    return coords
+    return coords[:, 0]
 
 
 def _normalize_leading(poly):
@@ -542,10 +547,11 @@ class LieBasis:
             if e.n_modes != n_modes:
                 raise ModeMismatch("basis elements act on different registers")
         self.n_modes = n_modes
-        if check_independent:
-            mat, _ = coefficient_matrix(self.elements)
-            if _rank(mat, INDEPENDENCE_TOL) < len(self.elements):
-                raise ValueError("basis elements are linearly dependent")
+        if check_independent and not all(
+            is_independent(e, self.elements[:k])
+            for k, e in enumerate(self.elements)
+        ):
+            raise ValueError("basis elements are linearly dependent")
         if central is None:
             central = self._detect_central()
         self.central = list(central)
@@ -553,10 +559,10 @@ class LieBasis:
     def _detect_central(self):
         flags = []
         for i, e in enumerate(self.elements):
-            scale = max(e.max_abs_coeff(), 1.0)
             flags.append(
                 all(
-                    commutator(e, f).max_abs_coeff() <= 1e-12 * scale
+                    commutator(e, f).max_abs_coeff()
+                    <= 1e-12 * e.max_abs_coeff() * f.max_abs_coeff()
                     for j, f in enumerate(self.elements)
                     if j != i
                 )
@@ -586,8 +592,9 @@ class LieBasis:
         """True when both bases span the same operator subspace."""
         if len(self) != len(other):
             return False
-        joint, _ = coefficient_matrix(self.elements + other.elements)
-        return _rank(joint, tol) == len(self)
+        coords, misfit = _fit(self.elements, other.elements)
+        sizes = [e.max_abs_coeff() for e in other.elements]
+        return bool(np.all(misfit(coords) <= tol * np.array(sizes)))
 
 
 def close_algebra(generators, max_dim=32):
@@ -595,10 +602,11 @@ def close_algebra(generators, max_dim=32):
 
     Breadth-first over commutator pairs: each round commutes all previously
     known elements with the elements discovered in the last round (plus the
-    new-new pairs), appending independent results in discovery order.  Newly
-    discovered elements are rescaled so their leading monomial has unit
-    coefficient; generators linearly dependent on earlier ones are skipped.
-    Raises ClosureOverflow past ``max_dim`` elements.
+    new-new pairs), appending independent results in discovery order; the
+    roundoff left by an exact cancellation is not one.  Newly discovered
+    elements are rescaled so their leading monomial has unit coefficient;
+    generators linearly dependent on earlier ones are skipped.  Raises
+    ClosureOverflow past ``max_dim`` elements.
     """
     gens = list(generators)
     if not gens:
@@ -617,9 +625,10 @@ def close_algebra(generators, max_dim=32):
         # [old, new] and [new, new] pairs; i < j suffices by antisymmetry.
         pairs = [(i, j) for j in frontier for i in range(len(basis)) if i < j]
         for i, j in sorted(set(pairs)):
-            cand = commutator(basis[i], basis[j])
-            cand = cand.chop(1e-13)
-            if cand.is_zero or not is_independent(cand, basis):
+            cand = commutator(basis[i], basis[j]).chop(1e-13)
+            coords, misfit = _fit(basis, [cand])
+            size = basis[i].max_abs_coeff() * basis[j].max_abs_coeff()
+            if misfit(coords)[0] <= INDEPENDENCE_TOL * size:
                 continue
             if len(basis) + 1 > max_dim:
                 raise ClosureOverflow(
@@ -632,42 +641,32 @@ def close_algebra(generators, max_dim=32):
     return LieBasis(basis, check_independent=False)
 
 
-def _reexpansion_residual(poly, coords, basis_polys):
-    recon = LadderPolynomial(poly.n_modes)
-    for w, b in zip(coords, basis_polys):
-        if w != 0:
-            recon = recon + complex(w) * b
-    return (poly - recon).max_abs_coeff()
-
-
 def structure_constants(basis, tol=1e-12):
     """Table c[j][k][l] with [H_j, H_k] = sum_l c[j][k][l] H_l.
 
-    Raises NotClosed when any commutator leaves the span.  The re-expansion
-    residual of every commutator is at most ``tol`` relative to its scale.
-    Least-squares coordinates within 1e-9 of a half-integer lattice point
-    are snapped to it when the snapped values still reproduce the commutator
+    All n(n-1)/2 commutators are fitted at once.  Raises NotClosed when the
+    residual of any [H_j, H_k] exceeds ``tol * |H_j| * |H_k|`` (largest
+    coefficients).  Coordinates within 1e-9 of the half-integer lattice are
+    snapped to it when the snapped values still fit within that bound
     (ladder algebras carry small integer and half-integer constants; the
     residual check makes the snap safe for any exceptions).
     """
     n = len(basis)
     c = np.zeros((n, n, n), dtype=complex)
-    for j in range(n):
-        for k in range(j + 1, n):
-            comm = commutator(basis[j], basis[k])
-            if comm.is_zero:
-                continue
-            coords = coordinates_in_basis(comm, basis.elements, tol=tol)
-            snapped = (np.round(coords.real * 2) + 1j * np.round(coords.imag * 2)) / 2
-            scale = max(comm.max_abs_coeff(), 1.0)
-            if (
-                np.max(np.abs(snapped - coords)) <= 1e-9
-                and _reexpansion_residual(comm, snapped, basis.elements)
-                <= tol * scale
-            ):
-                coords = snapped
-            c[j, k] = coords
-            c[k, j] = -coords
+    rows, cols = np.triu_indices(n, 1)
+    comms = [commutator(basis[j], basis[k]) for j, k in zip(rows, cols)]
+    coords, misfit = _fit(basis.elements, comms)
+    sizes = np.array([e.max_abs_coeff() for e in basis.elements])
+    bound = tol * sizes[rows] * sizes[cols]
+    outside = np.flatnonzero(misfit(coords) > bound)
+    if outside.size:
+        raise NotClosed(f"element {comms[outside[0]]} lies outside the span")
+    snapped = (np.round(coords.real * 2) + 1j * np.round(coords.imag * 2)) / 2
+    near = np.max(np.abs(snapped - coords), axis=0, initial=0.0) <= 1e-9
+    snap = near & (misfit(snapped) <= bound)
+    coords[:, snap] = snapped[:, snap]
+    c[rows, cols] = coords.T
+    c[cols, rows] = -coords.T
     return c
 
 

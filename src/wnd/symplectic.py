@@ -122,7 +122,7 @@ def ansatz_symplectic(xi_plus, xi_zero, xi_minus):
     return s_plus @ s_zero @ s_minus
 
 
-def bogoliubov_from_propagator(u_mat, tol_rows=2):
+def bogoliubov_from_propagator(u_mat):
     """(u, v) read off a truncated-Fock propagator by conjugating a.
 
     U' a U = u a + v a' gives u = (U'aU)[0, 1] and v = (U'aU)[1, 0]; the

@@ -309,6 +309,10 @@ class TestClosureCommand:
         # The structure constant on the Casimir element is exactly 2.
         assert "c[1][2][3] = 2,0" in out
 
+    def test_mixed_scale_generators(self, capsys):
+        assert run_cli(["closure", "1e11*ad*a", "ad", "a"]) == 0
+        assert capsys.readouterr().out.startswith("dimension = 4\n")
+
     def test_parse_error_exit_code(self, capsys):
         assert run_cli(["closure", "ad**a"]) == 2
         assert "error" in capsys.readouterr().err

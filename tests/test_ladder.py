@@ -168,6 +168,35 @@ class TestClosure:
             close_algebra([number(), annihilation()], max_dim=1)
 
 
+class TestScaleFree:
+    """Span and centrality decisions are judged at each polynomial's size."""
+
+    def test_large_generator_does_not_hide_small_ones(self):
+        basis = close_algebra([1e11 * number(), creation(), annihilation()])
+        assert len(basis) == 4
+        assert basis.span_matches(
+            LieBasis([number(), creation(), annihilation(), identity()])
+        )
+
+    def test_basis_accepts_tiny_element(self):
+        assert len(LieBasis([number(), 1e-11 * creation()])) == 2
+
+    def test_tiny_elements_are_not_central(self):
+        basis = LieBasis([1e-11 * creation(), 1e-11 * annihilation(), identity()])
+        assert basis.central == [False, False, True]
+
+    def test_tiny_polynomial_outside_span_raises(self):
+        with pytest.raises(NotClosed):
+            coordinates_in_basis(1e-13 * creation(), [number()])
+
+    def test_exact_cancellation_roundoff_is_not_an_element(self):
+        # [g1, [g0, g1]] cancels exactly up to a 2.8e-17j*bd remainder,
+        # roundoff at the size |p|*|q| = 12.3 it was computed at.
+        gens = [parse_polynomial("(-0.3+0.13j)*b"),
+                parse_polynomial("(-1.1+0.13j)*a*bd + 0.1*ad*bd")]
+        assert len(close_algebra(gens)) == 3
+
+
 class TestStructureConstants:
     def test_linear_basis_table(self):
         basis = LieBasis([number(), creation(), annihilation(), identity()])

@@ -482,6 +482,14 @@ class TestSuperalgebraClosure:
         assert len(basis) <= 10
         assert len(basis) == 3  # two number operators plus the cross term
 
+    def test_weak_jump_keeps_sandwich_term(self):
+        basis = liouville.superalgebra_closure(
+            ladder.number(), [1e-6 * ladder.annihilation()]
+        )
+        a_b = ladder.annihilation(0, 2) * ladder.annihilation(1, 2)
+        assert len(basis) == 3
+        assert not ladder.is_independent(a_b, basis.elements)
+
     def test_quadratic_hamiltonian_still_finite(self):
         a, ad = ladder.annihilation(), ladder.creation()
         h = ladder.number() + 0.2 * (ad * ad) + 0.2 * (a * a)

@@ -1,9 +1,10 @@
 """Property-based checks of the symbolic algebra laws."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from wnd import ladder
+from wnd.errors import ClosureOverflow
 from wnd.ladder import LadderPolynomial, commutator, identity, normal_order
 
 
@@ -103,3 +104,41 @@ def test_string_round_trip(polys):
     (p,) = polys
     parsed = ladder.parse_polynomial(p.to_string(), n_modes=p.n_modes)
     assert parsed.allclose(p, tol=1e-12)
+
+
+# Monomials of degree <= 2 on one and on two modes.
+_ONE_MODE = ["I", "a", "ad", "a^2", "ad^2", "ad*a"]
+_TWO_MODE = _ONE_MODE + ["b", "bd", "b^2", "bd^2", "bd*b",
+                         "a*b", "ad*bd", "ad*b", "a*bd"]
+
+
+@st.composite
+def quadratic_generator_sets(draw):
+    """2-3 generators, each 1-2 monomials with coefficients in 0.1-2.7."""
+    n_modes = draw(st.integers(1, 2))
+    words = _ONE_MODE if n_modes == 1 else _TWO_MODE
+    gens = []
+    for _ in range(draw(st.integers(2, 3))):
+        poly = LadderPolynomial.zero(n_modes)
+        for word in draw(st.lists(st.sampled_from(words), min_size=1,
+                                  max_size=2, unique=True)):
+            coeff = complex(draw(st.integers(1, 27)) / 10,
+                            draw(st.sampled_from([0, 0, -1.2, 0.13, 0.7])))
+            poly = poly + coeff * ladder.parse_polynomial(word, n_modes)
+        gens.append(poly)
+    return gens
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_generator_sets(), st.lists(st.integers(-11, 11),
+                                            min_size=3, max_size=3))
+def test_closure_is_scale_free(gens, powers):
+    try:
+        unscaled = ladder.close_algebra(gens, max_dim=24)
+    except ClosureOverflow:
+        assume(False)
+    scaled = ladder.close_algebra(
+        [10.0 ** k * g for g, k in zip(gens, powers)], max_dim=24)
+    assert len(scaled) == len(unscaled)
+    assert scaled.span_matches(unscaled)
+    assert scaled.central == unscaled.central
