@@ -19,6 +19,7 @@ INDEPENDENCE_TOL), so rescaling a generator never changes a closure.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -28,7 +29,9 @@ from .errors import ClosureOverflow, ModeMismatch, NotClosed, ParseError, Unknow
 
 # A polynomial is in a span when its least-squares residual (largest
 # coefficient) is at most this fraction of the size it was computed at: its
-# own largest coefficient, or |p|*|q| for a commutator [p, q].
+# own largest coefficient, or for a commutator [p, q] the largest product
+# c_s*c_t*k that a non-commuting pair of terms of p and q put into it.  A
+# fit whose largest term |x_j|*|H_j| is larger is judged at that term.
 INDEPENDENCE_TOL = 1e-10
 
 _MODE_TOKENS = {"a": (0, False), "ad": (0, True), "b": (1, False), "bd": (1, True)}
@@ -314,11 +317,34 @@ def normal_order(*factors):
     return out
 
 
-def commutator(p, q):
-    """Normal-ordered [p, q] = pq - qp."""
+@functools.cache
+def _monomial_commutator(s, t):
+    """Exact [m_s, m_t] of unit monomials: (signature, integer) pairs."""
+    m, n = LadderPolynomial(len(s), {s: 1.0}), LadderPolynomial(len(t), {t: 1.0})
+    return tuple((m * n - n * m).terms.items())
+
+
+def _bracket(p, q):
+    """[p, q] summed over pairs of terms, and the size it was computed at.
+
+    Commuting pairs add nothing, not even roundoff.  The size is the largest
+    product c_s*c_t*k a non-commuting pair puts in, so a large commuting
+    part of p or q does not hide a small bracket.
+    """
     if p.n_modes != q.n_modes:
         raise ModeMismatch(f"mode counts differ: {p.n_modes} vs {q.n_modes}")
-    return p * q - q * p
+    terms, size = {}, 0.0
+    for s, cs in p.terms.items():
+        for t, ct in q.terms.items():
+            for sig, k in _monomial_commutator(s, t):
+                terms[sig] = terms.get(sig, 0j) + cs * ct * k
+                size = max(size, abs(cs * ct * k))
+    return LadderPolynomial(p.n_modes, terms), size
+
+
+def commutator(p, q):
+    """Normal-ordered [p, q] = pq - qp."""
+    return _bracket(p, q)[0]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -482,23 +508,29 @@ def coefficient_matrix(polys):
     return mat, signatures
 
 
-def _fit(basis_polys, targets):
+def _fit(basis_polys, targets, sizes=None):
     """Least-squares coordinates of each target in the span of ``basis_polys``.
 
     Basis columns are scaled to unit largest entry, so lstsq's cutoff sees
     each element at its own size.  Returns (coords, misfit): coords[:, t]
     fits targets[t], and misfit(x) is each target's largest residual
-    coefficient at coordinates x.
+    coefficient at coordinates x over the size it is judged at, ``sizes[t]``
+    (default: its largest coefficient) or the fit's largest term if larger.
     """
     n = len(basis_polys)
     mat, _ = coefficient_matrix(list(basis_polys) + list(targets))
     cols, rhs = mat[:, :n], mat[:, n:]
+    if sizes is None:
+        sizes = [t.max_abs_coeff() for t in targets]
     scale = np.max(np.abs(cols), axis=0, initial=0.0)
     scale[scale == 0] = 1.0
     coords = np.linalg.lstsq(cols / scale, rhs, rcond=None)[0] / scale[:, None]
 
     def misfit(x):
-        return np.max(np.abs(cols @ x - rhs), axis=0, initial=0.0)
+        residual = np.max(np.abs(cols @ x - rhs), axis=0, initial=0.0)
+        terms = np.max(np.abs(x) * scale[:, None], axis=0, initial=0.0)
+        size = np.maximum(sizes, terms)
+        return np.divide(residual, size, out=0 * residual, where=residual > 0)
 
     return coords, misfit
 
@@ -506,18 +538,18 @@ def _fit(basis_polys, targets):
 def is_independent(candidate, basis_polys, tol=INDEPENDENCE_TOL):
     """True when ``candidate`` is outside the span of ``basis_polys``."""
     coords, misfit = _fit(basis_polys, [candidate])
-    return bool(misfit(coords)[0] > tol * candidate.max_abs_coeff())
+    return bool(misfit(coords)[0] > tol)
 
 
 def coordinates_in_basis(poly, basis_polys, tol=1e-12):
     """Coordinates of ``poly`` in the span of ``basis_polys``.
 
     Raises NotClosed when the least-squares residual exceeds ``tol`` relative
-    to the polynomial's largest coefficient.
+    to the polynomial's largest coefficient (or to the fit's largest term).
     """
     coords, misfit = _fit(basis_polys, [poly])
     residual = misfit(coords)[0]
-    if residual > tol * poly.max_abs_coeff():
+    if residual > tol:
         raise NotClosed(
             f"element {poly} lies outside the span (residual {residual:.3e})"
         )
@@ -557,17 +589,11 @@ class LieBasis:
         self.central = list(central)
 
     def _detect_central(self):
-        flags = []
-        for i, e in enumerate(self.elements):
-            flags.append(
-                all(
-                    commutator(e, f).max_abs_coeff()
-                    <= 1e-12 * e.max_abs_coeff() * f.max_abs_coeff()
-                    for j, f in enumerate(self.elements)
-                    if j != i
-                )
-            )
-        return flags
+        return [
+            all(comm.max_abs_coeff() <= 1e-12 * size
+                for comm, size in (_bracket(e, f) for f in self.elements))
+            for e in self.elements
+        ]
 
     def __len__(self):
         return len(self.elements)
@@ -593,8 +619,7 @@ class LieBasis:
         if len(self) != len(other):
             return False
         coords, misfit = _fit(self.elements, other.elements)
-        sizes = [e.max_abs_coeff() for e in other.elements]
-        return bool(np.all(misfit(coords) <= tol * np.array(sizes)))
+        return bool(np.all(misfit(coords) <= tol))
 
 
 def close_algebra(generators, max_dim=32):
@@ -625,10 +650,10 @@ def close_algebra(generators, max_dim=32):
         # [old, new] and [new, new] pairs; i < j suffices by antisymmetry.
         pairs = [(i, j) for j in frontier for i in range(len(basis)) if i < j]
         for i, j in sorted(set(pairs)):
-            cand = commutator(basis[i], basis[j]).chop(1e-13)
-            coords, misfit = _fit(basis, [cand])
-            size = basis[i].max_abs_coeff() * basis[j].max_abs_coeff()
-            if misfit(coords)[0] <= INDEPENDENCE_TOL * size:
+            cand, size = _bracket(basis[i], basis[j])
+            cand = cand.chop(1e-13)
+            coords, misfit = _fit(basis, [cand], [size])
+            if misfit(coords)[0] <= INDEPENDENCE_TOL:
                 continue
             if len(basis) + 1 > max_dim:
                 raise ClosureOverflow(
@@ -645,25 +670,26 @@ def structure_constants(basis, tol=1e-12):
     """Table c[j][k][l] with [H_j, H_k] = sum_l c[j][k][l] H_l.
 
     All n(n-1)/2 commutators are fitted at once.  Raises NotClosed when the
-    residual of any [H_j, H_k] exceeds ``tol * |H_j| * |H_k|`` (largest
-    coefficients).  Coordinates within 1e-9 of the half-integer lattice are
-    snapped to it when the snapped values still fit within that bound
-    (ladder algebras carry small integer and half-integer constants; the
-    residual check makes the snap safe for any exceptions).
+    residual of any [H_j, H_k] exceeds ``tol`` times the size it was computed
+    at (see INDEPENDENCE_TOL).  Coordinates within 1e-9 of the half-integer
+    lattice are snapped to it when the snapped values still fit within that
+    bound (ladder algebras carry small integer and half-integer constants;
+    the residual check makes the snap safe for any exceptions).
     """
     n = len(basis)
     c = np.zeros((n, n, n), dtype=complex)
     rows, cols = np.triu_indices(n, 1)
-    comms = [commutator(basis[j], basis[k]) for j, k in zip(rows, cols)]
-    coords, misfit = _fit(basis.elements, comms)
-    sizes = np.array([e.max_abs_coeff() for e in basis.elements])
-    bound = tol * sizes[rows] * sizes[cols]
-    outside = np.flatnonzero(misfit(coords) > bound)
-    if outside.size:
-        raise NotClosed(f"element {comms[outside[0]]} lies outside the span")
+    brackets = [_bracket(basis[j], basis[k]) for j, k in zip(rows, cols)]
+    comms = [comm for comm, _ in brackets]
+    coords, misfit = _fit(basis.elements, comms, [size for _, size in brackets])
+    residual = misfit(coords)
+    if np.any(residual > tol):
+        m = np.argmax(residual > tol)
+        raise NotClosed(f"[H_{rows[m]}, H_{cols[m]}] = {comms[m]} lies outside "
+                        f"the span (residual {residual[m]:.3e})")
     snapped = (np.round(coords.real * 2) + 1j * np.round(coords.imag * 2)) / 2
     near = np.max(np.abs(snapped - coords), axis=0, initial=0.0) <= 1e-9
-    snap = near & (misfit(snapped) <= bound)
+    snap = near & (misfit(snapped) <= tol)
     coords[:, snap] = snapped[:, snap]
     c[rows, cols] = coords.T
     c[cols, rows] = -coords.T

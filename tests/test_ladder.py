@@ -191,10 +191,39 @@ class TestScaleFree:
 
     def test_exact_cancellation_roundoff_is_not_an_element(self):
         # [g1, [g0, g1]] cancels exactly up to a 2.8e-17j*bd remainder,
-        # roundoff at the size |p|*|q| = 12.3 it was computed at.
+        # roundoff at the size 1.1 of the products that entered it.
         gens = [parse_polynomial("(-0.3+0.13j)*b"),
                 parse_polynomial("(-1.1+0.13j)*a*bd + 0.1*ad*bd")]
         assert len(close_algebra(gens)) == 3
+
+    # The 1e6 parts commute with everything, so [p, q] = [a, ad] = I: a
+    # bracket of size 1, far below |p|*|q| = 1e12.
+    MIXED = ["1e6*bd*b + a", "1e6*bd^2*b^2 + ad"]
+
+    def test_commuting_large_parts_do_not_hide_bracket(self):
+        p, q = map(parse_polynomial, self.MIXED)
+        basis = close_algebra([p, q])
+        assert len(basis) == 3
+        assert basis.span_matches(LieBasis([p, q, identity(2)]))
+
+    def test_bracket_outside_span_raises(self):
+        basis = LieBasis([parse_polynomial(text) for text in self.MIXED])
+        with pytest.raises(NotClosed, match=r"\[H_0, H_1\] = I .*residual"):
+            structure_constants(basis)
+
+    def test_fit_is_judged_at_its_largest_term(self):
+        # The pair 0.37*a + 1.33*ad^2, 2.16*a^2 + 0.46*ad*a with a -> 100*a
+        # and rescaled: fitting its brackets cancels terms about 1e5 times
+        # larger than the brackets, and that roundoff is not a new I.
+        gens = [parse_polynomial("370*a + 0.00133*ad^2"),
+                parse_polynomial("0.0216*a^2 + 4.6e-7*ad*a")]
+        basis = close_algebra(gens)
+        assert len(basis) == 6
+        assert not any(basis.central)
+
+    def test_commuting_large_parts_are_not_central(self):
+        basis = LieBasis([parse_polynomial(text) for text in self.MIXED])
+        assert basis.central == [False, False]
 
 
 class TestStructureConstants:

@@ -129,16 +129,49 @@ def quadratic_generator_sets(draw):
     return gens
 
 
+def _dilate(poly, powers):
+    """Image under a -> 10^d a, ad -> 10^-d ad on each mode, an automorphism."""
+    return LadderPolynomial(poly.n_modes, {
+        sig: c * 10.0 ** sum(d * (q - p) for d, (p, q) in zip(powers, sig))
+        for sig, c in poly.terms.items()})
+
+
 @settings(max_examples=40, deadline=None)
-@given(quadratic_generator_sets(), st.lists(st.integers(-11, 11),
-                                            min_size=3, max_size=3))
-def test_closure_is_scale_free(gens, powers):
+@given(quadratic_generator_sets(),
+       st.lists(st.integers(-11, 11), min_size=3, max_size=3),
+       st.lists(st.integers(-2, 2), min_size=2, max_size=2))
+def test_closure_is_scale_free(gens, powers, dilation):
+    # Rescaling each generator and dilating each mode (which spreads the
+    # terms of one polynomial over up to 8 decades) maps the closure onto
+    # the dilated unscaled closure.
     try:
         unscaled = ladder.close_algebra(gens, max_dim=24)
     except ClosureOverflow:
         assume(False)
     scaled = ladder.close_algebra(
-        [10.0 ** k * g for g, k in zip(gens, powers)], max_dim=24)
+        [10.0 ** k * _dilate(g, dilation) for g, k in zip(gens, powers)],
+        max_dim=24)
     assert len(scaled) == len(unscaled)
-    assert scaled.span_matches(unscaled)
+    assert scaled.span_matches(ladder.LieBasis(
+        [_dilate(e, dilation) for e in unscaled], check_independent=False))
+    assert scaled.central == unscaled.central
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(_ONE_MODE), min_size=2, max_size=2, unique=True),
+       st.lists(st.integers(-8, 11), min_size=2, max_size=2))
+def test_commuting_parts_do_not_hide_brackets(words, powers):
+    # p = x*N_b + g1 and q = y*N_b(N_b - 1) + g2 with g1, g2 on mode a: the
+    # mode-b parts commute with everything, so every bracket, and with it
+    # every element after p and q, is the same for any x and y.  Below
+    # 1e-8 the mode-b part of p would tell p from g1 by less than about
+    # INDEPENDENCE_TOL once g1 is an element.
+    small = [ladder.parse_polynomial(word, 2) for word in words]
+    large = [ladder.parse_polynomial("bd*b"), ladder.parse_polynomial("bd^2*b^2")]
+    unscaled = ladder.close_algebra([h + g for h, g in zip(large, small)])
+    gens = [10.0 ** k * h + g for h, g, k in zip(large, small, powers)]
+    scaled = ladder.close_algebra(gens)
+    assert len(scaled) == len(unscaled)
+    assert scaled.span_matches(ladder.LieBasis(
+        gens + unscaled.elements[2:], check_independent=False))
     assert scaled.central == unscaled.central
