@@ -112,8 +112,8 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
         raise ConfigError(f"unknown scenario {scenario!r}; known: {known}")
     params = dict(SCENARIO_DEFAULTS[scenario])
-    params.setdefault("rtol", 1e-10)
-    params.setdefault("atol", 1e-12)
+    params.setdefault("rtol", engine.RTOL)
+    params.setdefault("atol", engine.ATOL)
 
     def apply(key, raw):
         if key not in params:

@@ -52,10 +52,9 @@ state-level comparisons should keep the population near the cutoff (the
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-from scipy.special import gammaln
 
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 from .signals import Constant
@@ -212,7 +211,8 @@ def coherent_state(alpha, cutoff, leakage_tol=1e-10):
         vec = np.zeros(cutoff + 1, dtype=complex)
         vec[0] = 1.0
         return vec
-    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * gammaln(n + 1)
+    log_factorial = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
+    log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * log_factorial
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
     top = float(np.sum(np.abs(vec[-2:]) ** 2))
     # Relative to what the truncation keeps: far beyond the cutoff every
@@ -460,6 +460,8 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
 def factor_exponential(coefficient, mat):
     """exp(-i * coefficient * mat) by ``scipy.linalg.expm``, which takes a
     diagonal ``mat`` elementwise."""
+    import scipy.linalg
+
     return scipy.linalg.expm(-1j * coefficient * mat)
 
 
@@ -491,6 +493,8 @@ def _classify(dim, bands):
     if len(bands) == 1:
         (offset, band), = bands.items()
         return FactorImage(dim, offset, band)
+    import scipy.sparse
+
     return FactorImage(dim, None, scipy.sparse.diags(
         list(bands.values()), list(bands), shape=(dim, dim), format="csr"))
 

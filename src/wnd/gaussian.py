@@ -297,8 +297,8 @@ class Su11Trajectory:
         return self.raw.final
 
 
-def quadratic_coefficients(lam_plus, lam_minus, t_final, rtol=1e-10, atol=1e-12,
-                           times=None, n_out=129):
+def quadratic_coefficients(lam_plus, lam_minus, t_final, rtol=engine.RTOL,
+                           atol=engine.ATOL, times=None, n_out=129):
     """Integrate the su(1,1) coefficient ODEs for the quadratic family.
 
     The ODE system is generated by the generic engine from the structure
@@ -377,7 +377,7 @@ class GaussianTrajectory:
 
 
 def gaussian_combined(g_plus, g_minus, lam_plus, lam_minus, t_final,
-                      rtol=1e-10, atol=1e-12, times=None, n_out=129):
+                      rtol=engine.RTOL, atol=engine.ATOL, times=None, n_out=129):
     """Solve the combined Gaussian family on the six-element algebra.
 
     One engine integration with G = (2 l+, 2, 2 l-, g+, g-, -1/2) yields the

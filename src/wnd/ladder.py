@@ -224,9 +224,12 @@ class LadderPolynomial:
         return self.n_modes == other.n_modes and self.terms == other.terms
 
     def allclose(self, other, tol=1e-12):
+        """Whether the difference is within ``tol`` of the larger
+        polynomial's largest coefficient; no absolute floor, so small
+        polynomials are compared at their own size."""
         self._require_same_modes(other)
         diff = self - other
-        scale = max(self.max_abs_coeff(), other.max_abs_coeff(), 1.0)
+        scale = max(self.max_abs_coeff(), other.max_abs_coeff())
         return diff.max_abs_coeff() <= tol * scale
 
     def __hash__(self):

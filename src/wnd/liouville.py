@@ -41,7 +41,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import engine, fock, ladder
 from .errors import TraceDrift
@@ -67,6 +66,8 @@ def devectorize(vec):
 
 def left_right_superop(left, right):
     """Matrix of rho -> left @ rho @ right under column stacking, in CSR."""
+    import scipy.sparse
+
     return scipy.sparse.kron(np.asarray(right).T, np.asarray(left), format="csr")
 
 
@@ -230,6 +231,8 @@ def _taylor_generator(gen):
     """i L in CSR and ||L||_1 (its largest column sum): exp(L dt) =
     exp(-i (i L) dt) is then a ``fock._taylor_step``.  ``gen`` is a dense
     or sparse matrix; it is not modified."""
+    import scipy.sparse
+
     op = scipy.sparse.csr_matrix(gen, dtype=complex, copy=True)
     op.sum_duplicates()
     op.data *= 1j

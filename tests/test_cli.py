@@ -342,6 +342,23 @@ class TestStartup:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_unitary_runs_load_no_scipy(self, tmp_path):
+        # Only the dense replay exponential, multi-band images, the Liouville
+        # superoperators and the quadrature fallback import scipy; a unitary
+        # run at its defaults takes none of them.
+        src = os.path.dirname(os.path.dirname(wnd.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (
+            "import sys, wnd.cli\n"
+            "for name in wnd.cli.UNITARY_SCENARIOS:\n"
+            f"    out = {str(tmp_path)!r} + '/' + name + '.csv'\n"
+            "    assert wnd.cli.main(['run', name, '--out', out]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip().splitlines()[-1] == "[]"
+
 
 class TestListCommand:
     def test_lists_all_scenarios(self, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wnd import engine, fock, gaussian, ladder
+from wnd import engine, fock, gaussian, ladder, symplectic
 from wnd.engine import DecouplingProblem, integrate, xi_matrix
 from wnd.errors import NonFinite, StepUnderflow, WndError, XiSingular
 from wnd.ladder import LieBasis, structure_constants
@@ -274,6 +274,65 @@ class TestIntegrate:
         assert isinstance(err.value, WndError)
         assert isinstance(err.value, ValueError)
         assert 0.5 < err.value.time <= 0.7
+
+    def test_dense_output_matches_closed_form(self):
+        # 401 rows from far fewer steps: most rows are interpolated.
+        sig = Sinusoid(0.4, 1.3, 0.7)
+        times = np.linspace(0.0, 8.0, 401)
+        traj = integrate(gaussian.linear_problem(sig, sig, 8.0), times=times)
+        exact = gaussian.linear_coefficients(sig, sig, times)
+        assert traj.accepted < len(times) // 4
+        assert np.max(np.abs(traj.values[0] - times)) <= 1e-9
+        assert np.max(np.abs(traj.values[1] - exact.f_plus)) <= 1e-9
+        assert np.max(np.abs(traj.values[2] - exact.f_minus)) <= 1e-9
+        assert np.array_equal(traj.times, times)
+
+    def test_steps_are_not_clipped_to_the_grid(self):
+        from wnd import cli
+
+        params = dict(cli.SCENARIO_DEFAULTS["quadratic-constant"])
+        problem = cli.UNITARY_SCENARIOS["quadratic-constant"][0](params)
+        times = np.linspace(0.0, params["T"], 401)
+        traj = integrate(problem, times=times)
+        assert traj.accepted < len(times)
+
+    def test_floor_crossed_between_rhs_points_raises_at_output_time(
+            self, monkeypatch):
+        # |det Xi| is cut to 0 within 1e-7 of F0 = t_dip, an output time.
+        # F0 = t, and no RHS point comes that close to t_dip, so only the
+        # check at the output points can see the dip.
+        times = np.linspace(0.0, 3.0, 31)
+        t_dip = times[23]
+        real = engine._det_ratio
+        seen_by_rhs = []
+
+        def dipped(xi):
+            # Column 2 of the linear algebra's Xi holds e^{i F0} at row 2.
+            near = np.abs(np.angle(xi[..., 2, 2]) - t_dip) < 1e-7
+            if np.ndim(xi) == 2:
+                seen_by_rhs.append(bool(near))
+            return np.where(near, 0.0, real(xi))
+
+        monkeypatch.setattr(engine, "_det_ratio", dipped)
+        sig = Sinusoid(0.3, 1.0, 0.2)
+        with pytest.raises(XiSingular) as err:
+            integrate(gaussian.linear_problem(sig, sig, 3.0), times=times)
+        assert err.value.time == t_dip
+        assert err.value.det_ratio == 0.0
+        assert seen_by_rhs and not any(seen_by_rhs)
+
+    def test_dp5_stays_the_phase_space_reference(self, monkeypatch):
+        # The symplectic reference integrates with rk45_on_grid; the engine
+        # does not, so the two do not share an integrator.
+        calls = []
+        real = engine.rk45_on_grid
+        monkeypatch.setattr(engine, "rk45_on_grid",
+                            lambda *a: calls.append(a) or real(*a))
+        sig = Sinusoid(0.1, 2.0)
+        symplectic.propagate_symplectic(sig, sig, 2.0, n_out=21)
+        assert len(calls) == 1
+        gaussian.quadratic_coefficients(sig, sig, 2.0, n_out=21)
+        assert len(calls) == 1
 
     def test_output_grid_validation(self):
         prob = gaussian.linear_problem(Constant(0.1), Constant(0.1), 1.0)

@@ -395,3 +395,10 @@ class TestPolynomialBasics:
         assert (1.0 * p) == p
         assert p ** 0 == identity()
         assert p ** 2 == p * p
+
+    def test_allclose_judges_small_polynomials_at_their_size(self):
+        a, ad = annihilation(), creation()
+        assert not (1e-13 * ad).allclose(1e-13 * a)
+        assert not (1e-13 * ad).allclose(2e-13 * ad)
+        assert (1e-13 * ad).allclose(1e-13 * (1 + 1e-14) * ad)
+        assert (0.0 * ad).allclose(0.0 * a)

@@ -1,11 +1,13 @@
-"""Property-based checks of the symbolic algebra laws."""
+"""Property-based checks of the symbolic algebra laws, and of the engine
+against its references over random Gaussian drives."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from wnd import ladder
-from wnd.errors import ClosureOverflow
+from wnd import fock, gaussian, ladder, symplectic
+from wnd.errors import ClosureOverflow, WndError
 from wnd.ladder import LadderPolynomial, commutator, identity, normal_order
+from wnd.signals import Sinusoid
 
 
 @st.composite
@@ -175,3 +177,61 @@ def test_commuting_parts_do_not_hide_brackets(words, powers):
     assert scaled.span_matches(ladder.LieBasis(
         gens + unscaled.elements[2:], check_independent=False))
     assert scaled.central == unscaled.central
+
+
+_DRIVE_CUTOFF = 30
+
+
+@st.composite
+def gaussian_drives(draw):
+    """A small sinusoidal linear drive, quadratic drive, both or neither."""
+    g0 = draw(st.one_of(st.just(0.0), st.floats(0.02, 0.3)))
+    l0 = draw(st.one_of(st.just(0.0), st.floats(0.02, 0.12)))
+    g = Sinusoid(g0, draw(st.floats(0.5, 2.0)), draw(st.floats(0.0, 6.3)))
+    lam = Sinusoid(l0, draw(st.floats(0.0, 2.2)), draw(st.floats(0.0, 6.3)))
+    alpha = complex(draw(st.floats(-0.7, 0.7)), draw(st.floats(-0.7, 0.7)))
+    return g, lam, alpha, draw(st.floats(0.5, 3.0))
+
+
+def _rows_without_leakage(states):
+    norm_sq = np.sum(np.abs(states) ** 2, axis=1)
+    return all(fock.leakage(s) <= 1e-8 * n for s, n in zip(states, norm_sq))
+
+
+@settings(max_examples=15, deadline=None)
+@given(gaussian_drives())
+def test_engine_moments_match_references(drive):
+    # <a>(t) from the engine's coefficients: the su(1,1) factors map a to
+    # u a + v a' (their symplectic image), and the displacement factors
+    # shift a by -i F+ and a' by i F-.  The Fock oracle checks every drive;
+    # without a linear drive, so does the phase-space propagator.  A typed
+    # error is an allowed outcome; any other exception fails.
+    g, lam, alpha, t_final = drive
+    times = np.linspace(0.0, t_final, 11)
+    try:
+        traj = gaussian.gaussian_combined(g, g, lam, lam, t_final, times=times)
+        problem = gaussian.combined_problem(g, g, lam, lam, t_final)
+        psi0 = fock.coherent_state(alpha, _DRIVE_CUTOFF)
+        oracle = fock.propagate_state(
+            fock.oracle_hamiltonian(problem, _DRIVE_CUTOFF), psi0, times,
+            dt=t_final / 100)
+        replay = fock.ansatz_matrices(traj.raw.basis, _DRIVE_CUTOFF)
+        ansatz = np.array([fock.apply_ansatz(traj.raw.values[:, i], replay, psi0)
+                           for i in range(len(times))])
+        phase_space = symplectic.propagate_symplectic(lam, lam, t_final,
+                                                      times=times)
+    except WndError:
+        return
+    assert _rows_without_leakage(oracle) and _rows_without_leakage(ansatz)
+
+    s = np.array([symplectic.ansatz_symplectic(*x) for x in
+                  zip(traj.xi_plus, traj.xi_zero, traj.xi_minus)])
+    engine_a = (s[:, 0, 0] * (alpha - 1j * traj.f_plus)
+                + s[:, 0, 1] * (np.conj(alpha) + 1j * traj.f_minus))
+    destroy = fock.destroy(_DRIVE_CUTOFF)
+    oracle_a = np.array([fock.expectation(destroy, psi) for psi in oracle])
+    assert np.max(np.abs(engine_a - oracle_a)) <= 1e-6
+    if g.amplitude == 0:
+        moments = np.array([symplectic.first_moments(m, alpha)[0]
+                            for m in phase_space.matrices])
+        assert np.max(np.abs(engine_a - moments)) <= 1e-6
