@@ -12,6 +12,7 @@ from . import engine, fock, gaussian, ladder, liouville, signals, symplectic
 from .engine import CoefficientTrajectory, DecouplingProblem, integrate, xi_matrix
 from .errors import (
     ClosureOverflow,
+    CoefficientOverflow,
     LeakageTooLarge,
     ModeMismatch,
     NonConvergent,
@@ -46,8 +47,8 @@ __all__ = [
     "engine", "fock", "gaussian", "ladder", "liouville", "signals", "symplectic",
     "CoefficientTrajectory", "DecouplingProblem", "integrate", "xi_matrix",
     "WndError", "ModeMismatch", "ParseError", "UnknownMode", "ClosureOverflow",
-    "NotClosed", "XiSingular", "StepUnderflow", "NonConvergent",
-    "NonHermitian", "NonFinite", "LeakageTooLarge", "TraceDrift",
+    "CoefficientOverflow", "NotClosed", "XiSingular", "StepUnderflow",
+    "NonConvergent", "NonHermitian", "NonFinite", "LeakageTooLarge", "TraceDrift",
     "LadderPolynomial", "LieBasis", "adjoint_matrices", "annihilation",
     "close_algebra", "commutator", "coordinates_in_basis", "creation",
     "identity", "normal_order", "number", "parse_polynomial",

@@ -175,8 +175,9 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
 # fourth order, so a base step of T/100 (halved once to T/200) meets that
 # drift on the driven scenarios; each sub-step makes two exponentials, so a
 # midpoint-sized T/600 would double the cost for no gain.  A constant H
-# (a matrix from fock.oracle_hamiltonian) is stepped exactly in one pass,
-# and the drift tolerance does not apply to it.
+# (a matrix from fock.oracle_hamiltonian) takes one exact step per output
+# interval, in one pass, and neither the base step nor the drift tolerance
+# applies to it; the same holds for open-damped's constant Lindbladian.
 _ORACLE_STEPS = 100
 _ORACLE_DRIFT = 1e-6
 
@@ -327,8 +328,7 @@ def run_open_damped(params):
     gen = liouville.build_lindbladian(
         fock.to_matrix(hamiltonian, cutoff),
         [fock.to_matrix(jump, cutoff) for jump in jumps], rates)
-    oracle = liouville.propagate_density(gen, rho0, T, dt=T / 400.0,
-                                         times=times).matrices
+    oracle = liouville.propagate_density(gen, rho0, T, times=times).matrices
 
     # Normalised Hilbert-Schmidt overlap of the oracle and replayed rows.
     fid = np.array(

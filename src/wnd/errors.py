@@ -24,6 +24,10 @@ class UnknownMode(WndError):
     """Polynomial text refers to a ladder operator of an unsupported mode."""
 
 
+class CoefficientOverflow(WndError, OverflowError):
+    """A normal-ordering coefficient of a product leaves the float range."""
+
+
 class ClosureOverflow(WndError):
     """Commutator closure produced more independent elements than allowed.
 

@@ -13,11 +13,14 @@ psi, each exponential applied by a Taylor series scaled into ceil(|dt|
 ||.||_1) pieces of norm <= 1, so a time-dependent H is not diagonalised and
 no dense step matrix is formed.  Its error falls as dt^4, and a callable H
 is refined by step halving until the final state settles.  A matrix H is
-constant, so every sub-step is exactly its cached eigen step
-exp(-i H dt) and one pass is returned.  ``psi0`` may be a block of column
-states: :func:`propagate` is the oracle applied to the identity, which is
-how operator-level checks get U(t).  The density propagator in
-``liouville`` shares the grid-landing loop and the step-halving loop.
+constant, so each output interval is one exact eigen step exp(-i H dt),
+and one pass is returned.  ``psi0`` may be a block of column states:
+:func:`propagate` is the oracle applied to the identity, which is how
+operator-level checks get U(t).  The density propagator in ``liouville``
+shares this stepping rule (:func:`_stepped`), the grid-landing loop and
+the CFM4 exponents (:func:`_cfm4_exponents`), so both oracles take one
+exact step per interval of a constant generator and the same fourth-order
+sub-step of a time-dependent one.
 :func:`oracle_hamiltonian` derives the oracle's H(t) from a decoupling
 problem.  The oracle shares two primitives with the ansatz replay below:
 the Fock images, from one band construction (:func:`to_matrix` places the
@@ -308,6 +311,17 @@ _CFM4_A1 = 0.25 + np.sqrt(3.0) / 6.0
 _CFM4_A2 = 0.25 - np.sqrt(3.0) / 6.0
 
 
+def _cfm4_exponents(g1, g2):
+    """The two CFM4 exponents from the generator samples ``g1``, ``g2`` at
+    the two Gauss-Legendre nodes, in the order they act on the state.
+
+    A sub-step of size dt is exp(-i dt X2) exp(-i dt X1) for (X1, X2) the
+    returned pair; ``g1``, ``g2`` are dense or sparse matrices.  Both
+    oracles form their time-dependent sub-steps here.
+    """
+    return _CFM4_A1 * g1 + _CFM4_A2 * g2, _CFM4_A2 * g1 + _CFM4_A1 * g2
+
+
 class _ExpStepper:
     """CFM4 sub-steps with a cache for a repeated H.
 
@@ -354,8 +368,9 @@ class _ExpStepper:
         self._is_repeat(h1)
         if self._is_repeat(h2):
             return self._cached_step(dt) @ psi
-        psi = _taylor_step(_CFM4_A1 * h1 + _CFM4_A2 * h2, dt, psi)
-        return _taylor_step(_CFM4_A2 * h1 + _CFM4_A1 * h2, dt, psi)
+        for exponent in _cfm4_exponents(h1, h2):
+            psi = _taylor_step(exponent, dt, psi)
+        return psi
 
 
 def _sub_steps(times, dt_target):
@@ -377,14 +392,21 @@ def _midpoint_pass(step, x0, times, counts):
     return out
 
 
-def _refine(run, endpoint, tol, max_refinements, what):
-    """run(1), run(2), run(4), ... (the argument divides the step) until the
-    ``endpoint`` of successive results moves by at most ``tol`` (max-abs);
-    returns the finer result.  Raises NonConvergent after
-    ``max_refinements`` halvings."""
-    prev = run(1)
+def _stepped(run, times, dt, constant, endpoint, tol, max_refinements, what):
+    """The stepping rule of both oracles.
+
+    ``run(counts)`` steps output interval i of ``times`` in counts[i] equal
+    sub-steps.  A ``constant`` generator takes one exact step per interval,
+    in one pass, and ``dt`` plays no part.  Otherwise sub-steps of at most
+    dt, dt/2, dt/4, ... are taken until the ``endpoint`` of successive
+    results moves by at most ``tol`` (max-abs), and the finer result is
+    returned.  Raises NonConvergent after ``max_refinements`` halvings.
+    """
+    if constant:
+        return run([1] * (len(times) - 1))
+    prev = run(_sub_steps(times, dt))
     for k in range(1, max_refinements + 1):
-        nxt = run(2 ** k)
+        nxt = run(_sub_steps(times, dt / 2 ** k))
         if float(np.max(np.abs(endpoint(nxt) - endpoint(prev)))) <= tol:
             return nxt
         prev = nxt
@@ -411,18 +433,19 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
                     max_refinements=10):
     """State trajectory under the order-4 commutator-free Magnus propagator.
 
-    Sub-steps land exactly on the output grid.  Each samples H at the two
-    Gauss-Legendre nodes t + (1/2 -+ sqrt(3)/6) dt and applies the two CFM4
-    exponentials by scaled Taylor series (no ``eigh``, no dense step
-    matrix), so the error falls as dt^4.  When the two samples are equal
-    the step is exactly exp(-i H dt), taken from the cached eigen step
-    matrix of that H.
+    Steps land exactly on the output grid, by the stepping rule of
+    :func:`_stepped`.  Each samples H at the two Gauss-Legendre nodes
+    t + (1/2 -+ sqrt(3)/6) dt and applies the two CFM4 exponentials by
+    scaled Taylor series (no ``eigh``, no dense step matrix), so the error
+    falls as dt^4.  When the two samples are equal the step is exactly
+    exp(-i H dt), taken from the cached eigen step matrix of that H.
 
     ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix.  A
-    matrix is constant, so its sub-steps are exact and one pass of one
-    ``eigh`` is returned.  For a callable, dt is halved until the final
-    state moves by at most ``drift_tol`` (max-abs); sampling cannot show
-    that a callable is constant, so it is always refined.  ``psi0`` is a
+    matrix is constant, so each output interval is one exact eigen step
+    from one ``eigh``, in one pass, and ``dt`` plays no part.  For a
+    callable, dt is halved until the final state moves by at most
+    ``drift_tol`` (max-abs); sampling cannot show that a callable is
+    constant, so it is always refined.  ``psi0`` is a
     state of shape (dim,) or a block of k column states of shape (dim, k).
     Raises NonHermitian for a non-Hermitian or non-finite H, and
     NonConvergent when the refinement does not settle or a Taylor series
@@ -440,7 +463,7 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
     if dt > width / 100.0:
         raise ValueError("dt must be at most span/100")
 
-    def run(scale):
+    def run(counts):
         stepper = _ExpStepper()
 
         def step(mid, sub_dt, psi):
@@ -448,13 +471,11 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
             return stepper.cfm4_state(h_eval(mid - offset), h_eval(mid + offset),
                                       sub_dt, psi)
 
-        return np.array(_midpoint_pass(step, psi0, times,
-                                       _sub_steps(times, dt / scale)))
+        return np.array(_midpoint_pass(step, psi0, times, counts))
 
-    if not callable(hamiltonian):
-        return run(1)
-    return _refine(run, lambda states: states[-1], drift_tol, max_refinements,
-                   "state propagation")
+    return _stepped(run, times, dt, not callable(hamiltonian),
+                    lambda states: states[-1], drift_tol, max_refinements,
+                    "state propagation")
 
 
 def factor_exponential(coefficient, mat):

@@ -25,7 +25,14 @@ import re
 
 import numpy as np
 
-from .errors import ClosureOverflow, ModeMismatch, NotClosed, ParseError, UnknownMode
+from .errors import (
+    ClosureOverflow,
+    CoefficientOverflow,
+    ModeMismatch,
+    NotClosed,
+    ParseError,
+    UnknownMode,
+)
 
 # A polynomial is in a span when its least-squares residual (largest
 # coefficient) is at most this fraction of the size it was computed at: its
@@ -169,11 +176,17 @@ class LadderPolynomial:
                 ]
                 stack = [(base, ())]
                 for exp in expansions:
-                    stack = [
-                        (coeff * k, sig + ((p, q),))
-                        for coeff, sig in stack
-                        for k, p, q in exp
-                    ]
+                    try:
+                        stack = [
+                            (coeff * k, sig + ((p, q),))
+                            for coeff, sig in stack
+                            for k, p, q in exp
+                        ]
+                    except OverflowError:
+                        raise CoefficientOverflow(
+                            "a normal-ordering coefficient of a product "
+                            "exceeds the float range"
+                        ) from None
                 for coeff, sig in stack:
                     terms[sig] = terms.get(sig, 0j) + coeff
         return LadderPolynomial(self.n_modes, terms)
@@ -379,6 +392,12 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest parenthesis nesting the recursive-descent parser accepts; each
+# level takes four Python frames, so this stays far below the recursion
+# limit.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the polynomial grammar.
 
@@ -386,6 +405,8 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := primary ('^' integer)?
     primary:= number | ident | '(' expr ')'
+
+    Parentheses may nest at most MAX_NESTING deep.
     """
 
     def __init__(self, text, n_modes):
@@ -393,6 +414,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.i = 0
         self.n_modes = n_modes
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.i]
@@ -476,8 +498,13 @@ class _Parser:
             make = creation if is_creation else annihilation
             return make(mode, self.n_modes)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
 
@@ -486,8 +513,11 @@ def parse_polynomial(text, n_modes=None):
     """Parse polynomial text such as ``"0.5*ad^2"`` or ``"ad*a*(bd+b)"``.
 
     When ``n_modes`` is omitted it is inferred: two modes if a ``b``/``bd``
-    token appears, one otherwise.  Raises ParseError for malformed text and
-    for a polynomial with a non-finite coefficient (``1e400*a``).
+    token appears, one otherwise.  Raises ParseError for malformed text,
+    for parentheses nested deeper than MAX_NESTING and for a polynomial
+    with a non-finite coefficient (``1e400*a``), and CoefficientOverflow
+    when normal ordering a product needs a coefficient past the float range
+    (``a^300*ad^300``).
     """
     if n_modes is None:
         n_modes = 2 if re.search(r"\bbd?\b", text) else 1

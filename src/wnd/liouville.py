@@ -19,11 +19,13 @@ verifies trace preservation of the assembled generator.
 
 The generator is assembled sparse (CSR, from sparse kron products): a damped
 cavity at cutoff 30 has 1860 nonzeros out of 923k, on two diagonals.
-Propagation is by time-ordered short steps exp(L dt) applied to vec(rho)
-with Hermiticity restoration each step.  Each step is the scaled Taylor
-series of the Fock oracle (``fock._taylor_step``) acting on the vector
-through the CSR generator, so neither a dense generator nor a dense
-exponential is formed.
+Propagation follows the Fock oracle's stepping rule (``fock._stepped``): a
+constant generator takes one exact step exp(L dt) per output interval, and
+a callable L(t) takes the oracle's fourth-order CFM4 sub-steps
+(``fock._cfm4_exponents``) with step halving.  Every exponential is the
+scaled Taylor series of the Fock oracle (``fock._taylor_step``) acting on
+vec(rho) through a CSR generator, so neither a dense generator nor a dense
+exponential is formed, and Hermiticity is restored after each step.
 
 The same dynamics is solved by the decoupling theorem.
 ``superalgebra_closure`` doubles operators into two-mode ladder polynomials
@@ -170,43 +172,52 @@ def _check_density(rho):
 
 def propagate_density(generator, rho0, t_final, dt=None, times=None,
                       trace_tol=1e-9, max_refinements=8):
-    """Time-ordered short-step exponential propagation of a density matrix.
+    """Time-ordered exponential propagation of a density matrix.
 
-    ``generator`` is a Lindbladian matrix, dense or sparse, converted once
-    to CSR, or a callable t -> matrix, converted at every step.  Each step
-    applies exp(L(t_mid) dt) to vec(rho) by ``fock._taylor_step``: a Taylor
-    series on the vector with the CSR generator i L, cut into ceil(dt
-    ||L||_1) pieces of norm <= 1 and summed to roundoff, so no dense
-    exponential is formed.  Each step restores Hermiticity by
-    symmetrisation (the drift is logged on the trajectory).  A matrix is
-    constant, so every step is exact to roundoff and one pass is returned;
-    for a callable the step is halved until the endpoint moves by less than
-    ``trace_tol``.  Raises TraceDrift when the trace wanders beyond
-    tolerance, NonConvergent at the refinement floor or when a Taylor
-    series meets a non-finite generator or state.
+    Steps land exactly on the output grid, by the stepping rule of the Fock
+    oracle (``fock._stepped``).  ``generator`` is a Lindbladian matrix,
+    dense or sparse, converted once to CSR: it is constant, so each output
+    interval is one exact step exp(L dt), in one pass, and ``dt`` plays no
+    part.  A callable t -> matrix takes the oracle's CFM4 sub-steps: L is
+    sampled at the two Gauss-Legendre nodes and the two exponents of
+    ``fock._cfm4_exponents`` are applied in turn, so the error falls as
+    dt^4; dt is halved until the endpoint moves by at most ``trace_tol``.
+    Every exponential acts on vec(rho) by ``fock._taylor_step``, a Taylor
+    series with the CSR generator i L cut into ceil(dt ||L||_1) pieces of
+    norm <= 1 and summed to roundoff, so no dense exponential is formed.
+    Each step restores Hermiticity by symmetrisation (the drift is logged on
+    the trajectory).  ``times`` defaults to 101 points on [0, t_final] and
+    may not run past ``t_final``.  Raises TraceDrift when the trace wanders
+    beyond tolerance, NonConvergent at the refinement floor or when a
+    Taylor series meets a non-finite generator or state.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density(rho0)
     T = float(t_final)
-    if times is None:
-        times = np.linspace(0.0, T, 101)
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("output grid must start at 0 and increase strictly")
+    times = engine._output_grid(
+        np.linspace(0.0, T, 101) if times is None else times, T)
     if dt is None:
         dt = T / 2000.0
     if dt > T / 100.0:
         raise ValueError("dt must be at most span/100")
-    n_steps = int(np.ceil(T / dt))
-    static = None if callable(generator) else _taylor_generator(generator)
+    static = None if callable(generator) else [_taylor_generator(generator)]
 
-    def run(scale):
+    def exponents(t_mid, sub_dt):
+        if static is not None:
+            return static
+        offset = fock._CFM4_NODE * sub_dt
+        return map(_taylor_generator, fock._cfm4_exponents(
+            generator(t_mid - offset), generator(t_mid + offset)))
+
+    def run(counts):
         herm_drift = trace_drift = 0.0
 
         def step(t_mid, sub_dt, rho):
             nonlocal herm_drift, trace_drift
-            op, norm = static or _taylor_generator(generator(t_mid))
-            rho = devectorize(fock._taylor_step(op, sub_dt, vectorize(rho), norm))
+            vec = vectorize(rho)
+            for op, norm in exponents(t_mid, sub_dt):
+                vec = fock._taylor_step(op, sub_dt, vec, norm)
+            rho = devectorize(vec)
             sym = 0.5 * (rho + rho.conj().T)
             herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
             tr = np.trace(sym)
@@ -215,16 +226,14 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
                 raise TraceDrift(f"trace drifted to {tr:.12g} at t={t_mid:.6g}")
             return sym
 
-        counts = fock._sub_steps(times, T / (n_steps * scale))
         matrices = np.array(fock._midpoint_pass(step, rho0, times, counts))
         return DensityTrajectory(times=times, matrices=matrices,
                                  trace_drift=trace_drift,
                                  hermiticity_drift=herm_drift)
 
-    if static is not None:
-        return run(1)
-    return fock._refine(run, lambda traj: traj.matrices[-1], trace_tol,
-                        max_refinements, "density propagation")
+    return fock._stepped(run, times, dt, static is not None,
+                         lambda traj: traj.matrices[-1], trace_tol,
+                         max_refinements, "density propagation")
 
 
 def _taylor_generator(gen):

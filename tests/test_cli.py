@@ -331,6 +331,18 @@ class TestClosureCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["(ad*a)^200"],
+        ["ad^200*a^200", "ad"],
+        ["(" * 2000 + "a" + ")" * 2000],
+    ], ids=["power-overflow", "commutator-overflow", "nesting-2000"])
+    def test_overflow_and_deep_nesting_are_one_line_exit_2(self, argv, capsys):
+        # Normal ordering past the float range and parentheses past
+        # ladder.MAX_NESTING are typed errors, not tracebacks.
+        assert run_cli(["closure"] + argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestStartup:
     def test_cli_import_skips_scipy_integrate(self):

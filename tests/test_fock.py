@@ -160,6 +160,14 @@ class TestPropagate:
             u, np.diag(np.exp(-1j * np.arange(cutoff + 1) * t)), atol=1e-9
         )
 
+    def test_constant_h_is_one_exact_step(self):
+        cutoff, t = 16, 2.7
+        a = fock.destroy(cutoff)
+        ad = a.conj().T
+        h = fock.number_op(cutoff) + 0.4 * (a + ad) + 0.1 * (a @ a + ad @ ad)
+        want = scipy.linalg.expm(-1j * h * t)
+        assert np.max(np.abs(fock.propagate(h, t) - want)) <= 1e-12
+
     def test_central_oracle_check(self):
         # Linear constant drive: decoupled ansatz against the propagator.
         g0, t_final, cutoff = 0.1, 1.0, 40
@@ -407,6 +415,23 @@ class TestPropagateState:
         assert (len(passes), len(calls)) == (1, 1)
         refined = fock.propagate_state(lambda t: h_mat, psi0, times, dt=0.01)
         assert np.max(np.abs(once - refined)) <= 1e-12
+
+    def test_constant_matrix_h_one_step_per_interval(self, monkeypatch):
+        # A matrix H takes one exact eigen step per output interval, so dt
+        # plays no part: a tenfold smaller dt moves no row.
+        steps = []
+        real = fock._ExpStepper.cfm4_state
+        monkeypatch.setattr(fock._ExpStepper, "cfm4_state",
+                            lambda self, *a: steps.append(1) or real(self, *a))
+        h_mat = _driven_hamiltonian(self.CUTOFF, lambda t: 0.2,
+                                    lambda t: 0.05)(0.0)
+        psi0 = fock.coherent_state(1.0, self.CUTOFF)
+        times = np.linspace(0.0, 1.0, 5)
+        coarse = fock.propagate_state(h_mat, psi0, times, dt=0.01)
+        assert len(steps) == len(times) - 1
+        fine = fock.propagate_state(h_mat, psi0, times, dt=0.001)
+        assert len(steps) == 2 * (len(times) - 1)
+        assert np.array_equal(coarse, fine)
 
     def test_step_matrix_reused_across_float_dust_in_dt(self):
         # Uniform output grids give sub-step sizes that differ by roundoff;

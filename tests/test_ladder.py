@@ -3,7 +3,13 @@ import pytest
 import scipy.linalg
 
 from wnd import ladder
-from wnd.errors import ClosureOverflow, NotClosed, ParseError, UnknownMode
+from wnd.errors import (
+    ClosureOverflow,
+    CoefficientOverflow,
+    NotClosed,
+    ParseError,
+    UnknownMode,
+)
 from wnd.ladder import (
     LieBasis,
     adjoint_matrices,
@@ -151,6 +157,16 @@ class TestClosure:
         a, ad = annihilation(), creation()
         with pytest.raises(ClosureOverflow):
             close_algebra([ad * ad * ad, a * a], max_dim=8)
+
+    @pytest.mark.parametrize("texts", [["(ad*a)^200"], ["ad^200*a^200", "ad"],
+                                       ["a^300*ad^300"]],
+                             ids=["power", "with-ad", "in-parse"])
+    def test_normal_ordering_overflow_is_typed(self, texts):
+        # A commutator of the closure, or a product in the text itself,
+        # needs a normal-ordering integer k! C(q,k) C(p,k) past the float
+        # range.
+        with pytest.raises(CoefficientOverflow):
+            close_algebra([parse_polynomial(text) for text in texts])
 
     def test_order_independence_of_span(self):
         gens = [number(), annihilation(), creation()]
@@ -359,6 +375,12 @@ class TestParse:
     def test_non_finite_coefficient(self, text):
         with pytest.raises(ParseError, match="not finite"):
             parse_polynomial(text)
+
+    def test_nesting_bound(self):
+        assert parse_polynomial("(" * 100 + "a" + ")" * 100) == annihilation()
+        with pytest.raises(ParseError) as err:
+            parse_polynomial("(" * 2000 + "a" + ")" * 2000)
+        assert err.value.position == ladder.MAX_NESTING
 
     def test_unknown_mode(self):
         with pytest.raises(UnknownMode):

@@ -225,9 +225,9 @@ class TestPropagateDensity:
         assert traj.trace_drift <= 1e-9
 
     def test_constant_generator_one_pass(self, monkeypatch):
-        # Each Taylor step of a constant generator is exact to roundoff, so
-        # a matrix L takes one pass, one step per sub-step, and halving dt
-        # moves no row beyond roundoff.
+        # A matrix L is constant, so each output interval is one exact
+        # Taylor step whatever dt is, in one pass, and halving dt moves no
+        # row.
         cutoff, kappa, t_final = 16, 0.5, 5.0
         gen = liouville.build_lindbladian(
             fock.number_op(cutoff), [fock.destroy(cutoff)], [[kappa]])
@@ -239,10 +239,51 @@ class TestPropagateDensity:
         monkeypatch.setattr(fock, "_taylor_step",
                             lambda *a: steps.append(1) or real(*a))
         once = liouville.propagate_density(gen, rho0, t_final, dt=dt, times=times)
-        assert len(steps) == sum(fock._sub_steps(times, dt)) == 400
+        assert len(steps) == len(times) - 1
         half = liouville.propagate_density(gen, rho0, t_final, dt=dt / 2,
                                            times=times)
-        assert np.max(np.abs(once.matrices - half.matrices)) <= 1e-13
+        assert len(steps) == 2 * (len(times) - 1)
+        assert np.array_equal(once.matrices, half.matrices)
+
+    def test_driven_damped_cavity_matches_closed_form(self, monkeypatch):
+        # H = N + g(t) (a + a'), g(t) = g0 cos(w t), jump a at rate kappa:
+        # <a>' = -lam <a> - i g(t) with lam = i + kappa/2, so
+        # <a>(t) = exp(-lam t) (alpha - i int_0^t exp(lam s) g(s) ds).  The
+        # CFM4 sub-step settles in two passes at trace_tol 1e-9.
+        cutoff, alpha, kappa, g0, w, t_final = 16, 0.8, 0.5, 0.3, 1.3, 3.0
+        a = fock.destroy(cutoff)
+        free = liouville.build_lindbladian(fock.number_op(cutoff), [a], [[kappa]])
+        drive = liouville.build_lindbladian(a + a.conj().T, [])
+
+        def gen(t):
+            return free + g0 * np.cos(w * t) * drive
+
+        passes = []
+        real = fock._midpoint_pass
+        monkeypatch.setattr(fock, "_midpoint_pass",
+                            lambda *args: passes.append(1) or real(*args))
+        times = np.linspace(0.0, t_final, 7)
+        traj = liouville.propagate_density(
+            gen, _coherent_density(alpha, cutoff), t_final, dt=t_final / 100,
+            times=times, trace_tol=1e-9)
+        assert len(passes) <= 2
+        lam = 1j + kappa / 2
+        drive_integral = g0 * (np.exp(lam * times) * (lam * np.cos(w * times)
+                                                      + w * np.sin(w * times))
+                               - lam) / (lam ** 2 + w ** 2)
+        want = np.exp(-lam * times) * (alpha - 1j * drive_integral)
+        assert np.max(np.abs(traj.expectation(a) - want)) <= 1e-9
+
+    def test_grid_past_span_rejected(self):
+        gen = liouville.build_lindbladian(fock.number_op(4), [fock.destroy(4)],
+                                          [[0.5]])
+        rho0 = _coherent_density(0.5, 4)
+        with pytest.raises(ValueError, match="exceeds the span"):
+            liouville.propagate_density(gen, rho0, 1.0,
+                                        times=np.linspace(0.0, 5.0, 6))
+        short = liouville.propagate_density(gen, rho0, 1.0,
+                                            times=np.linspace(0.0, 0.5, 3))
+        assert short.times[-1] == 0.5
 
     def test_zero_rate_matches_unitary(self):
         cutoff = 14
