@@ -13,6 +13,7 @@ from .engine import CoefficientTrajectory, DecouplingProblem, integrate, xi_matr
 from .errors import (
     ClosureOverflow,
     CoefficientOverflow,
+    FidelityTooLow,
     LeakageTooLarge,
     ModeMismatch,
     NonConvergent,
@@ -49,6 +50,7 @@ __all__ = [
     "WndError", "ModeMismatch", "ParseError", "UnknownMode", "ClosureOverflow",
     "CoefficientOverflow", "NotClosed", "XiSingular", "StepUnderflow",
     "NonConvergent", "NonHermitian", "NonFinite", "LeakageTooLarge", "TraceDrift",
+    "FidelityTooLow",
     "LadderPolynomial", "LieBasis", "adjoint_matrices", "annihilation",
     "close_algebra", "commutator", "coordinates_in_basis", "creation",
     "identity", "normal_order", "number", "parse_polynomial",

@@ -15,7 +15,9 @@ WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure (the failure time is printed when available),
 including leakage: an oracle or ansatz row with more than 1e-8 of its norm
 squared in the top two Fock levels, or with no norm left.  The ansatz is
-checked before the oracle runs.
+checked before the oracle runs.  A run whose fidelity column is off 1 by
+more than 1e-6 on any row exits 3 too, naming the first such row, and
+writes no CSV.
 
 Each unitary scenario is one row of ``UNITARY_SCENARIOS``; the oracle's H(t)
 is derived from the row's engine problem, never written by hand.
@@ -42,7 +44,7 @@ import sys
 import numpy as np
 
 from . import engine, fock, gaussian, ladder, liouville
-from .errors import LeakageTooLarge, WndError
+from .errors import FidelityTooLow, LeakageTooLarge, WndError
 from .signals import Constant, Sinusoid
 
 TWO_PI = 2.0 * np.pi
@@ -52,6 +54,7 @@ class ConfigError(Exception):
     pass
 
 
+# A value given as text parses to the type of its key's default.
 SCENARIO_DEFAULTS = {
     "linear-constant": {"g0": 0.5, "alpha": 1 + 0j, "T": 2 * TWO_PI,
                         "n_out": 201, "cutoff": 40},
@@ -67,17 +70,11 @@ SCENARIO_DEFAULTS = {
                     "n_out": 101, "cutoff": 30},
 }
 
-_COMPLEX_KEYS = {"alpha"}
-_INT_KEYS = {"n_out", "cutoff"}
 
-
-def _parse_value(key, text):
+def _parse_value(key, text, kind):
+    """``text`` as a value of ``kind``, the type of the key's default."""
     try:
-        if key in _INT_KEYS:
-            return int(text)
-        if key in _COMPLEX_KEYS:
-            return complex(text)
-        return float(text)
+        return kind(text)
     except ValueError as exc:
         raise ConfigError(f"cannot parse {key}={text!r}: {exc}") from exc
 
@@ -111,9 +108,10 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     if scenario not in SCENARIO_DEFAULTS:
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
         raise ConfigError(f"unknown scenario {scenario!r}; known: {known}")
-    params = dict(SCENARIO_DEFAULTS[scenario])
-    params.setdefault("rtol", engine.RTOL)
-    params.setdefault("atol", engine.ATOL)
+    defaults = dict(SCENARIO_DEFAULTS[scenario])
+    defaults.setdefault("rtol", engine.RTOL)
+    defaults.setdefault("atol", engine.ATOL)
+    params = dict(defaults)
 
     def apply(key, raw):
         if key not in params:
@@ -121,7 +119,8 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
                 f"unknown parameter {key!r} for scenario {scenario}; "
                 f"known: {', '.join(sorted(params))}"
             )
-        params[key] = _parse_value(key, raw) if isinstance(raw, str) else raw
+        params[key] = (_parse_value(key, raw, type(defaults[key]))
+                       if isinstance(raw, str) else raw)
 
     if config_path:
         for key, raw in load_config_file(config_path).items():
@@ -371,8 +370,29 @@ def write_csv(columns, path):
         fh.write(data)
 
 
+# Largest |fidelity - 1| a run accepts on any row: the loosest acceptance
+# floor.  fock.fidelity is unnormalised and may exceed 1, so the check is
+# two-sided.
+_FIDELITY_TOL = 1e-6
+
+
+def _check_fidelity(columns):
+    """Raise FidelityTooLow at the first row whose fidelity is off 1 by more
+    than _FIDELITY_TOL, or is not a number."""
+    fid = np.asarray(columns["fidelity"])
+    bad = np.flatnonzero(~(np.abs(fid - 1.0) <= _FIDELITY_TOL))
+    if bad.size:
+        i = bad[0]
+        raise FidelityTooLow(
+            f"fidelity {format(fid[i], '.12g')} to the oracle at "
+            f"t={columns['t'][i]:.6g} is off 1 by more than {_FIDELITY_TOL:g}; "
+            "tighten rtol/atol"
+        )
+
+
 def run_scenario(scenario, params, out_path=None):
     columns, min_fidelity = SCENARIO_RUNNERS[scenario](params)
+    _check_fidelity(columns)
     if out_path is None:
         out_dir = os.environ.get("WND_OUT_DIR", ".")
         os.makedirs(out_dir, exist_ok=True)

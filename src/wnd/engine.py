@@ -249,6 +249,8 @@ class CoefficientTrajectory:
 
 def _output_grid(times, span):
     times = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("output grid times must be finite")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("output grid must start at 0 and increase strictly")
     if times[-1] > span * (1 + 1e-12):

@@ -72,6 +72,10 @@ class LeakageTooLarge(WndError):
     """Truncated state keeps too much population near the cutoff."""
 
 
+class FidelityTooLow(WndError):
+    """A decoupled solution is further from its oracle than a run accepts."""
+
+
 class TraceDrift(WndError):
     """Density-matrix trace drifted beyond tolerance during propagation."""
 

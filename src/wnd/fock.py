@@ -6,21 +6,16 @@ refinement, and the ordered-exponential image of a decoupling trajectory.
 Every decoupled solution elsewhere in the package is tested against this
 module.
 
-The oracle, :func:`propagate_state`, takes order-4 commutator-free Magnus
-(CFM4) sub-steps: H is sampled at the two Gauss-Legendre nodes of each
-sub-step and psi <- exp(-i dt (a2 H1 + a1 H2)) exp(-i dt (a1 H1 + a2 H2))
-psi, each exponential applied by a Taylor series scaled into ceil(|dt|
-||.||_1) pieces of norm <= 1, so a time-dependent H is not diagonalised and
-no dense step matrix is formed.  Its error falls as dt^4, and a callable H
-is refined by step halving until the final state settles.  A matrix H is
-constant, so each output interval is one exact eigen step exp(-i H dt),
-and one pass is returned.  ``psi0`` may be a block of column states:
-:func:`propagate` is the oracle applied to the identity, which is how
-operator-level checks get U(t).  The density propagator in ``liouville``
-shares this stepping rule (:func:`_stepped`), the grid-landing loop and
-the CFM4 exponents (:func:`_cfm4_exponents`), so both oracles take one
-exact step per interval of a constant generator and the same fourth-order
-sub-step of a time-dependent one.
+Both brute-force oracles, :func:`propagate_state` here and
+``liouville.propagate_density``, are driven by :func:`_stepped`, which
+owns the output grid, the step size, the sampling of a time-dependent
+generator and the step-halving refinement; each oracle supplies only its
+sub-step.  The state oracle's sub-step is :meth:`_ExpStepper.cfm4_state`:
+two order-4 commutator-free Magnus (CFM4) exponentials, each applied by a
+Taylor series scaled into ceil(|dt| ||.||_1) pieces of norm <= 1, so a
+time-dependent H is not diagonalised and no dense step matrix is formed.
+``psi0`` may be a block of column states: :func:`propagate` is the oracle
+applied to the identity, which is how operator-level checks get U(t).
 :func:`oracle_hamiltonian` derives the oracle's H(t) from a decoupling
 problem.  The oracle shares two primitives with the ansatz replay below:
 the Fock images, from one band construction (:func:`to_matrix` places the
@@ -59,6 +54,7 @@ import math
 
 import numpy as np
 
+from . import engine
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 from .signals import Constant
 
@@ -331,7 +327,9 @@ class _ExpStepper:
     and dt; otherwise each of its two exponentials goes through
     :func:`_taylor_step`, so a time-dependent H is not diagonalised.  Every
     H that differs from the previous evaluation is checked for Hermiticity
-    (raises NonHermitian, also for a non-finite H).
+    (raises NonHermitian, also for a non-finite H).  A repeat is detected by
+    content, so one stepper serves every refinement pass of a call and a
+    later pass reuses an eigendecomposition only for an equal H.
     """
 
     def __init__(self):
@@ -362,9 +360,10 @@ class _ExpStepper:
             self._dt = dt
         return self._step
 
-    def cfm4_state(self, h1, h2, dt, psi):
+    def cfm4_state(self, h1, h2, dt, psi, _t_mid=None):
         """One CFM4 sub-step of size ``dt`` on ``psi`` from the samples
-        ``h1``, ``h2`` at the two Gauss-Legendre nodes."""
+        ``h1``, ``h2`` at the two Gauss-Legendre nodes; the sub-step's
+        midpoint, which :func:`_stepped` passes, is not needed."""
         self._is_repeat(h1)
         if self._is_repeat(h2):
             return self._cached_step(dt) @ psi
@@ -373,41 +372,63 @@ class _ExpStepper:
         return psi
 
 
-def _sub_steps(times, dt_target):
-    """Sub-steps per output interval: the fewest of size <= dt_target."""
-    return [max(1, int(np.ceil(w / dt_target - 1e-12))) for w in np.diff(times)]
+def _stepped(generator, x0, times, dt, tol, max_refinements, what, step,
+             span=None):
+    """The one driver of both oracles: ``x0`` stepped over the grid ``times``.
 
+    ``generator`` is a matrix or a callable t -> matrix.  Each output
+    interval is cut into equal sub-steps that land on its end, and a
+    sub-step of size h with midpoint t_mid is x <- step(g1, g2, h, x,
+    t_mid): g1, g2 are the callable's samples at the two Gauss-Legendre
+    nodes t_mid -+ sqrt(3)/6 h of the CFM4 step (:func:`_cfm4_exponents`),
+    or the matrix itself, twice.
 
-def _midpoint_pass(step, x0, times, counts):
-    """x <- step(t_mid, dt, x) over equal sub-steps landing on every grid
-    time; interval i is cut into counts[i] of them.  Returns the states at
-    ``times``, x0 first."""
-    x = x0
-    out = [x0]
-    for lo, hi, n_sub in zip(times[:-1], times[1:], counts):
-        dt = (hi - lo) / n_sub
-        for j in range(n_sub):
-            x = step(lo + (j + 0.5) * dt, dt, x)
-        out.append(x)
-    return out
+    A matrix is constant, so each interval is one exact step, in one pass,
+    and ``dt`` plays no part.  A callable takes sub-steps of at most dt,
+    dt/2, dt/4, ... until the final state moves by at most ``tol``
+    (max-abs) between successive passes, and the finer pass is returned;
+    sampling cannot show that a callable is constant, so it is always
+    refined, and the CFM4 error falls as dt^4.
 
-
-def _stepped(run, times, dt, constant, endpoint, tol, max_refinements, what):
-    """The stepping rule of both oracles.
-
-    ``run(counts)`` steps output interval i of ``times`` in counts[i] equal
-    sub-steps.  A ``constant`` generator takes one exact step per interval,
-    in one pass, and ``dt`` plays no part.  Otherwise sub-steps of at most
-    dt, dt/2, dt/4, ... are taken until the ``endpoint`` of successive
-    results moves by at most ``tol`` (max-abs), and the finer result is
-    returned.  Raises NonConvergent after ``max_refinements`` halvings.
+    ``span`` (default: the last grid time) bounds the grid; ``dt`` defaults
+    to span/2000.  Raises ValueError for a grid that is not finite, does not
+    start at 0, does not increase strictly or runs past ``span``, and unless
+    dt is finite with 0 < dt <= span/100; NonConvergent, naming ``what``,
+    when ``max_refinements`` halvings do not settle.  Returns the states at
+    ``times``, x0 first, as one array.
     """
+    times = np.asarray(times, dtype=float)
+    span = float(times[-1] if span is None else span)
+    times = engine._output_grid(times, span)
+    if dt is None:
+        dt = span / 2000.0
+    if not (np.isfinite(dt) and 0.0 < dt <= span / 100.0):
+        raise ValueError("dt must be finite, positive and at most span/100")
+    constant = not callable(generator)
+
+    def run(dt_target):
+        x, out = x0, [x0]
+        for lo, hi in zip(times[:-1], times[1:]):
+            n_sub = 1 if constant else max(
+                1, int(np.ceil((hi - lo) / dt_target - 1e-12)))
+            sub_dt = (hi - lo) / n_sub
+            offset = _CFM4_NODE * sub_dt
+            for j in range(n_sub):
+                t_mid = lo + (j + 0.5) * sub_dt
+                if constant:
+                    g1 = g2 = generator
+                else:
+                    g1, g2 = generator(t_mid - offset), generator(t_mid + offset)
+                x = step(g1, g2, sub_dt, x, t_mid)
+            out.append(x)
+        return np.array(out)
+
     if constant:
-        return run([1] * (len(times) - 1))
-    prev = run(_sub_steps(times, dt))
+        return run(None)
+    prev = run(dt)
     for k in range(1, max_refinements + 1):
-        nxt = run(_sub_steps(times, dt / 2 ** k))
-        if float(np.max(np.abs(endpoint(nxt) - endpoint(prev)))) <= tol:
+        nxt = run(dt / 2 ** k)
+        if float(np.max(np.abs(nxt[-1] - prev[-1]))) <= tol:
             return nxt
         prev = nxt
     raise NonConvergent(
@@ -415,7 +436,7 @@ def _stepped(run, times, dt, constant, endpoint, tol, max_refinements, what):
     )
 
 
-def propagate(hamiltonian, t_final, dt=None, drift_tol=1e-9, max_refinements=12):
+def propagate(hamiltonian, t_final, dt=None, drift_tol=1e-9, max_refinements=10):
     """Time-ordered propagator U(t_final, 0).
 
     :func:`propagate_state` applied to the identity, as a block of column
@@ -431,51 +452,21 @@ def propagate(hamiltonian, t_final, dt=None, drift_tol=1e-9, max_refinements=12)
 
 def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
                     max_refinements=10):
-    """State trajectory under the order-4 commutator-free Magnus propagator.
+    """State trajectory of the oracle: :func:`_stepped` with the sub-step
+    :meth:`_ExpStepper.cfm4_state` of one stepper for the whole call.
 
-    Steps land exactly on the output grid, by the stepping rule of
-    :func:`_stepped`.  Each samples H at the two Gauss-Legendre nodes
-    t + (1/2 -+ sqrt(3)/6) dt and applies the two CFM4 exponentials by
-    scaled Taylor series (no ``eigh``, no dense step matrix), so the error
-    falls as dt^4.  When the two samples are equal the step is exactly
-    exp(-i H dt), taken from the cached eigen step matrix of that H.
-
-    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix.  A
-    matrix is constant, so each output interval is one exact eigen step
-    from one ``eigh``, in one pass, and ``dt`` plays no part.  For a
-    callable, dt is halved until the final state moves by at most
-    ``drift_tol`` (max-abs); sampling cannot show that a callable is
-    constant, so it is always refined.  ``psi0`` is a
+    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix, and
+    ``drift_tol`` is the driver's refinement tolerance.  ``psi0`` is a
     state of shape (dim,) or a block of k column states of shape (dim, k).
-    Raises NonHermitian for a non-Hermitian or non-finite H, and
-    NonConvergent when the refinement does not settle or a Taylor series
-    meets a non-finite state.  Returns an array of shape (len(times), dim),
-    or (len(times), dim, k) for a block.
+    Raises ValueError for a bad grid or dt, NonHermitian for a
+    non-Hermitian or non-finite H, and NonConvergent when the refinement
+    does not settle or a Taylor series meets a non-finite state.  Returns
+    an array of shape (len(times), dim), or (len(times), dim, k) for a
+    block.
     """
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0):
-        raise ValueError("output grid must start at 0 and increase strictly")
-    psi0 = np.asarray(psi0, dtype=complex)
-    h_eval = hamiltonian if callable(hamiltonian) else (lambda _t: hamiltonian)
-    width = float(times[-1])
-    if dt is None:
-        dt = width / 2000.0
-    if dt > width / 100.0:
-        raise ValueError("dt must be at most span/100")
-
-    def run(counts):
-        stepper = _ExpStepper()
-
-        def step(mid, sub_dt, psi):
-            offset = _CFM4_NODE * sub_dt
-            return stepper.cfm4_state(h_eval(mid - offset), h_eval(mid + offset),
-                                      sub_dt, psi)
-
-        return np.array(_midpoint_pass(step, psi0, times, counts))
-
-    return _stepped(run, times, dt, not callable(hamiltonian),
-                    lambda states: states[-1], drift_tol, max_refinements,
-                    "state propagation")
+    return _stepped(hamiltonian, np.asarray(psi0, dtype=complex), times, dt,
+                    drift_tol, max_refinements, "state propagation",
+                    _ExpStepper().cfm4_state)
 
 
 def factor_exponential(coefficient, mat):

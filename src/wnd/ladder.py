@@ -397,6 +397,11 @@ def _tokenize(text):
 # limit.
 MAX_NESTING = 100
 
+# Largest exponent the parser accepts.  A power multiplies once per unit of
+# its exponent, and no Fock image of a higher degree exists below
+# ``fock.choose_cutoff``'s ceiling of 512 levels.
+MAX_EXPONENT = 512
+
 
 class _Parser:
     """Recursive-descent parser for the polynomial grammar.
@@ -406,7 +411,8 @@ class _Parser:
     factor := primary ('^' integer)?
     primary:= number | ident | '(' expr ')'
 
-    Parentheses may nest at most MAX_NESTING deep.
+    Parentheses may nest at most MAX_NESTING deep, and an exponent is at
+    most MAX_EXPONENT.
     """
 
     def __init__(self, text, n_modes):
@@ -473,7 +479,13 @@ class _Parser:
             kind, val, pos = self.next()
             if kind != "number" or not val.isdigit():
                 raise ParseError("exponent must be a non-negative integer", pos)
-            base = base ** int(val)
+            # Compared by digit count first: int() refuses a text of over
+            # 4300 digits.
+            digits = val.lstrip("0") or "0"
+            if (len(digits) > len(str(MAX_EXPONENT))
+                    or int(digits) > MAX_EXPONENT):
+                raise ParseError(f"exponent exceeds {MAX_EXPONENT}", pos)
+            base = base ** int(digits)
         return base
 
     def primary(self):
@@ -514,10 +526,10 @@ def parse_polynomial(text, n_modes=None):
 
     When ``n_modes`` is omitted it is inferred: two modes if a ``b``/``bd``
     token appears, one otherwise.  Raises ParseError for malformed text,
-    for parentheses nested deeper than MAX_NESTING and for a polynomial
-    with a non-finite coefficient (``1e400*a``), and CoefficientOverflow
-    when normal ordering a product needs a coefficient past the float range
-    (``a^300*ad^300``).
+    for parentheses nested deeper than MAX_NESTING, for an exponent above
+    MAX_EXPONENT and for a polynomial with a non-finite coefficient
+    (``1e400*a``), and CoefficientOverflow when normal ordering a product
+    needs a coefficient past the float range (``a^300*ad^300``).
     """
     if n_modes is None:
         n_modes = 2 if re.search(r"\bbd?\b", text) else 1

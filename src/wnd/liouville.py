@@ -19,10 +19,8 @@ verifies trace preservation of the assembled generator.
 
 The generator is assembled sparse (CSR, from sparse kron products): a damped
 cavity at cutoff 30 has 1860 nonzeros out of 923k, on two diagonals.
-Propagation follows the Fock oracle's stepping rule (``fock._stepped``): a
-constant generator takes one exact step exp(L dt) per output interval, and
-a callable L(t) takes the oracle's fourth-order CFM4 sub-steps
-(``fock._cfm4_exponents``) with step halving.  Every exponential is the
+Propagation is driven by the Fock oracle's driver (``fock._stepped``),
+which owns the grid, the step size and the refinement; each sub-step is the
 scaled Taylor series of the Fock oracle (``fock._taylor_step``) acting on
 vec(rho) through a CSR generator, so neither a dense generator nor a dense
 exponential is formed, and Hermiticity is restored after each step.
@@ -171,69 +169,56 @@ def _check_density(rho):
 
 
 def propagate_density(generator, rho0, t_final, dt=None, times=None,
-                      trace_tol=1e-9, max_refinements=8):
-    """Time-ordered exponential propagation of a density matrix.
+                      trace_tol=1e-9, max_refinements=10):
+    """Density-matrix trajectory of the Liouville oracle, stepped by the
+    Fock oracle's driver ``fock._stepped`` with span ``t_final``.
 
-    Steps land exactly on the output grid, by the stepping rule of the Fock
-    oracle (``fock._stepped``).  ``generator`` is a Lindbladian matrix,
-    dense or sparse, converted once to CSR: it is constant, so each output
-    interval is one exact step exp(L dt), in one pass, and ``dt`` plays no
-    part.  A callable t -> matrix takes the oracle's CFM4 sub-steps: L is
-    sampled at the two Gauss-Legendre nodes and the two exponents of
-    ``fock._cfm4_exponents`` are applied in turn, so the error falls as
-    dt^4; dt is halved until the endpoint moves by at most ``trace_tol``.
-    Every exponential acts on vec(rho) by ``fock._taylor_step``, a Taylor
-    series with the CSR generator i L cut into ceil(dt ||L||_1) pieces of
-    norm <= 1 and summed to roundoff, so no dense exponential is formed.
-    Each step restores Hermiticity by symmetrisation (the drift is logged on
-    the trajectory).  ``times`` defaults to 101 points on [0, t_final] and
-    may not run past ``t_final``.  Raises TraceDrift when the trace wanders
-    beyond tolerance, NonConvergent at the refinement floor or when a
-    Taylor series meets a non-finite generator or state.
+    ``generator`` is a Lindbladian matrix, dense or sparse, converted once
+    to CSR, or a callable t -> matrix; ``trace_tol`` is the driver's
+    refinement tolerance, and ``times`` defaults to 101 points on [0,
+    t_final].  A sub-step applies exp(L dt) of a matrix, or the two CFM4
+    exponents (``fock._cfm4_exponents``) of a callable's samples, to
+    vec(rho) by ``fock._taylor_step``: the CSR generator i L is cut into
+    ceil(dt ||L||_1) pieces of norm <= 1 and summed to roundoff, so no dense
+    exponential is formed.  Each sub-step then restores Hermiticity by
+    symmetrisation.  The trajectory's ``trace_drift`` and
+    ``hermiticity_drift`` are the largest over every sub-step of every
+    refinement pass; a matrix L takes one pass.  Raises ValueError for a
+    bad initial state, grid or dt, TraceDrift when the trace wanders past
+    100 max(trace_tol, 1e-12), NonConvergent at the refinement floor or when
+    a Taylor series meets a non-finite generator or state.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     _check_density(rho0)
-    T = float(t_final)
-    times = engine._output_grid(
-        np.linspace(0.0, T, 101) if times is None else times, T)
-    if dt is None:
-        dt = T / 2000.0
-    if dt > T / 100.0:
-        raise ValueError("dt must be at most span/100")
-    static = None if callable(generator) else [_taylor_generator(generator)]
+    times = np.asarray(np.linspace(0.0, float(t_final), 101)
+                       if times is None else times, dtype=float)
+    constant = not callable(generator)
+    if constant:
+        generator = _taylor_generator(generator)
+    herm_drift = trace_drift = 0.0
 
-    def exponents(t_mid, sub_dt):
-        if static is not None:
-            return static
-        offset = fock._CFM4_NODE * sub_dt
-        return map(_taylor_generator, fock._cfm4_exponents(
-            generator(t_mid - offset), generator(t_mid + offset)))
+    def step(l1, l2, sub_dt, rho, t_mid):
+        nonlocal herm_drift, trace_drift
+        exponents = [l1] if constant else map(
+            _taylor_generator, fock._cfm4_exponents(l1, l2))
+        vec = vectorize(rho)
+        for op, norm in exponents:
+            vec = fock._taylor_step(op, sub_dt, vec, norm)
+        rho = devectorize(vec)
+        sym = 0.5 * (rho + rho.conj().T)
+        herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
+        tr = np.trace(sym)
+        trace_drift = max(trace_drift, abs(tr - 1.0))
+        if abs(tr - 1.0) > 100 * max(trace_tol, 1e-12):
+            raise TraceDrift(f"trace drifted to {tr:.12g} at t={t_mid:.6g}")
+        return sym
 
-    def run(counts):
-        herm_drift = trace_drift = 0.0
-
-        def step(t_mid, sub_dt, rho):
-            nonlocal herm_drift, trace_drift
-            vec = vectorize(rho)
-            for op, norm in exponents(t_mid, sub_dt):
-                vec = fock._taylor_step(op, sub_dt, vec, norm)
-            rho = devectorize(vec)
-            sym = 0.5 * (rho + rho.conj().T)
-            herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
-            tr = np.trace(sym)
-            trace_drift = max(trace_drift, abs(tr - 1.0))
-            if abs(tr - 1.0) > 100 * max(trace_tol, 1e-12):
-                raise TraceDrift(f"trace drifted to {tr:.12g} at t={t_mid:.6g}")
-            return sym
-
-        matrices = np.array(fock._midpoint_pass(step, rho0, times, counts))
-        return DensityTrajectory(times=times, matrices=matrices,
-                                 trace_drift=trace_drift,
-                                 hermiticity_drift=herm_drift)
-
-    return fock._stepped(run, times, dt, static is not None,
-                         lambda traj: traj.matrices[-1], trace_tol,
-                         max_refinements, "density propagation")
+    matrices = fock._stepped(generator, rho0, times, dt, trace_tol,
+                             max_refinements, "density propagation", step,
+                             span=t_final)
+    return DensityTrajectory(times=times, matrices=matrices,
+                             trace_drift=trace_drift,
+                             hermiticity_drift=herm_drift)
 
 
 def _taylor_generator(gen):

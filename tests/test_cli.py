@@ -164,6 +164,21 @@ class TestRunCommand:
         assert "t=" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["linear-resonant", "--rtol", "1e-2", "--atol", "1e-2"],
+        ["quadratic-parametric", "--rtol", "1e-1", "--atol", "1e-1"],
+    ], ids=["resonant-loose", "parametric-loose"])
+    def test_fidelity_floor_is_one_line_exit_3(self, argv, tmp_path, capsys):
+        # Loose engine tolerances leave the decoupled rows 1.5e-3 and 1.3e-5
+        # from the oracle.  The parametric run's first bad row has fidelity
+        # above 1, which the two-sided floor catches as well.
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", *argv, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: fidelity") and err.count("\n") == 1
+        assert "t=" in err
+        assert not out.exists()
+
     def test_ansatz_leak_stops_before_oracle(self, tmp_path, capsys,
                                              monkeypatch):
         # The ansatz of the full-span parametric run leaks at t=1.65.  The
@@ -335,10 +350,14 @@ class TestClosureCommand:
         ["(ad*a)^200"],
         ["ad^200*a^200", "ad"],
         ["(" * 2000 + "a" + ")" * 2000],
-    ], ids=["power-overflow", "commutator-overflow", "nesting-2000"])
+        ["a^513"],
+        ["a^1000000000"],
+    ], ids=["power-overflow", "commutator-overflow", "nesting-2000",
+            "exponent-513", "exponent-1e9"])
     def test_overflow_and_deep_nesting_are_one_line_exit_2(self, argv, capsys):
-        # Normal ordering past the float range and parentheses past
-        # ladder.MAX_NESTING are typed errors, not tracebacks.
+        # Normal ordering past the float range, parentheses past
+        # ladder.MAX_NESTING and exponents past ladder.MAX_EXPONENT (refused
+        # before any product is formed) are typed errors, not tracebacks.
         assert run_cli(["closure"] + argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

@@ -340,6 +340,8 @@ class TestIntegrate:
             integrate(prob, times=np.array([0.1, 0.5, 1.0]))
         with pytest.raises(ValueError):
             integrate(prob, times=np.array([0.0, 0.5, 0.5, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            integrate(prob, times=np.array([0.0, np.nan, 1.0]))
 
 
 class TestProblemConstruction:

@@ -480,6 +480,28 @@ class TestPropagateState:
             fock._ExpStepper().cfm4_state(fock.number_op(6), fock.x_op(6),
                                           0.1, psi)
 
+    @pytest.mark.parametrize("dt", [-0.01, 0.0, np.nan, np.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_bad_dt_rejected(self, dt):
+        # A negative dt took one sub-step per interval in every pass, so the
+        # passes agreed and the refinement stopped on rows 6.7e-4 off; dt=0
+        # divided by zero.
+        h = _driven_hamiltonian(12, lambda t: 0.3 * np.cos(1.3 * t),
+                                lambda t: 0.0)
+        psi0 = fock.coherent_state(0.5, 12)
+        with pytest.raises(ValueError, match="dt must be"):
+            fock.propagate_state(h, psi0, np.linspace(0.0, 3.0, 4), dt=dt,
+                                 drift_tol=1e-9)
+
+    @pytest.mark.parametrize("constant", [True, False], ids=["matrix", "callable"])
+    def test_nan_grid_time_rejected(self, constant):
+        h = _driven_hamiltonian(12, lambda t: 0.3 * np.cos(1.3 * t),
+                                lambda t: 0.0)
+        h = h(0.0) if constant else h
+        psi0 = fock.coherent_state(0.5, 12)
+        with pytest.raises(ValueError, match="finite"):
+            fock.propagate_state(h, psi0, [0.0, np.nan, 1.0])
+
     def test_non_hermitian_is_typed(self):
         h_mat = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(NonHermitian):

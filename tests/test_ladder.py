@@ -382,6 +382,16 @@ class TestParse:
             parse_polynomial("(" * 2000 + "a" + ")" * 2000)
         assert err.value.position == ladder.MAX_NESTING
 
+    def test_exponent_bound(self):
+        # A power costs one product per unit of its exponent, so the parser
+        # bounds the exponent; a text past int()'s digit limit is refused too.
+        top = ladder.MAX_EXPONENT
+        assert parse_polynomial(f"a^{top}") == annihilation() ** top
+        for text in (f"a^{top + 1}", "a^" + "9" * 5000):
+            with pytest.raises(ParseError, match="exponent exceeds") as err:
+                parse_polynomial(text)
+            assert err.value.position == 2
+
     def test_unknown_mode(self):
         with pytest.raises(UnknownMode):
             parse_polynomial("cd*c")

@@ -258,10 +258,24 @@ class TestPropagateDensity:
         def gen(t):
             return free + g0 * np.cos(w * t) * drive
 
+        # A pass of the oracle driver starts where the sub-step midpoint
+        # steps back.
         passes = []
-        real = fock._midpoint_pass
-        monkeypatch.setattr(fock, "_midpoint_pass",
-                            lambda *args: passes.append(1) or real(*args))
+        real = fock._stepped
+
+        def counted(*args, **kwargs):
+            step = args[7]
+
+            def counted_step(*step_args):
+                t_mid = step_args[-1]
+                if not passes or t_mid < passes[-1]:
+                    passes.append(t_mid)
+                passes[-1] = t_mid
+                return step(*step_args)
+
+            return real(*args[:7], counted_step, *args[8:], **kwargs)
+
+        monkeypatch.setattr(fock, "_stepped", counted)
         times = np.linspace(0.0, t_final, 7)
         traj = liouville.propagate_density(
             gen, _coherent_density(alpha, cutoff), t_final, dt=t_final / 100,
@@ -273,6 +287,52 @@ class TestPropagateDensity:
                                - lam) / (lam ** 2 + w ** 2)
         want = np.exp(-lam * times) * (alpha - 1j * drive_integral)
         assert np.max(np.abs(traj.expectation(a) - want)) <= 1e-9
+
+    @staticmethod
+    def _driven_cavity(cutoff, kappa):
+        """L(t) of H = N + 0.3 cos(1.3 t)(a + a') with jump a at ``kappa``
+        (no jump when ``kappa`` is None)."""
+        a = fock.destroy(cutoff)
+        jumps = [] if kappa is None else [a]
+        rates = None if kappa is None else [[kappa]]
+        free = liouville.build_lindbladian(fock.number_op(cutoff), jumps, rates)
+        drive = liouville.build_lindbladian(a + a.conj().T, [])
+        return lambda t: free + 0.3 * np.cos(1.3 * t) * drive
+
+    @pytest.mark.parametrize("dt", [-0.5, 0.0, np.nan, np.inf],
+                             ids=["negative", "zero", "nan", "inf"])
+    def test_bad_dt_rejected(self, dt):
+        # A negative dt took one sub-step per interval in every pass, so the
+        # passes agreed and the refinement stopped on rows 4.8e-4 off.
+        gen = self._driven_cavity(12, 0.5)
+        with pytest.raises(ValueError, match="dt must be"):
+            liouville.propagate_density(gen, _coherent_density(0.5, 12), 3.0,
+                                        dt=dt, times=np.linspace(0.0, 3.0, 4))
+
+    def test_nan_grid_time_rejected(self):
+        gen = self._driven_cavity(12, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            liouville.propagate_density(gen, _coherent_density(0.5, 12), 1.0,
+                                        times=[0.0, np.nan, 1.0])
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9])
+    def test_driven_density_matches_state_oracle(self, tol):
+        # Without jumps L(t) moves rho as U rho U', and both oracles take
+        # the same CFM4 sub-steps and refinement passes from the one driver,
+        # so the density rows are the outer products of the state rows.
+        cutoff, alpha, t_final = 16, 0.8, 3.0
+        a = fock.destroy(cutoff)
+        h_free, h_drive = fock.number_op(cutoff), a + a.conj().T
+        psi0 = fock.coherent_state(alpha, cutoff)
+        times = np.linspace(0.0, t_final, 7)
+        states = fock.propagate_state(
+            lambda t: h_free + 0.3 * np.cos(1.3 * t) * h_drive, psi0, times,
+            dt=t_final / 100, drift_tol=tol)
+        traj = liouville.propagate_density(
+            self._driven_cavity(cutoff, None), np.outer(psi0, psi0.conj()),
+            t_final, dt=t_final / 100, times=times, trace_tol=tol)
+        want = np.einsum("ti,tj->tij", states, states.conj())
+        assert np.max(np.abs(traj.matrices - want)) <= 1e-13
 
     def test_grid_past_span_rejected(self):
         gen = liouville.build_lindbladian(fock.number_op(4), [fock.destroy(4)],
