@@ -13,8 +13,9 @@ defaults < config file (flat ``key = value`` lines) < inline key=value
 arguments < explicit flags.  The default output directory is taken from the
 WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
 error, 3 solver failure (the failure time is printed when available),
-including leakage: an oracle or ansatz row with more than 1e-8 of its norm
-squared in the top two Fock levels, or with no norm left.  The ansatz is
+including leakage (``fock.check_leakage``): a row, of ``open-damped`` too,
+where a mode keeps more than 1e-8 of the population (|psi|^2 or diag rho)
+in its top two Fock levels, or with none left.  The decoupled rows are
 checked before the oracle runs.  A run whose fidelity column is off 1 by
 more than 1e-6 on any row exits 3 too, naming the first such row, and
 writes no CSV.
@@ -44,7 +45,7 @@ import sys
 import numpy as np
 
 from . import engine, fock, gaussian, ladder, liouville
-from .errors import FidelityTooLow, LeakageTooLarge, WndError
+from .errors import FidelityTooLow, WndError
 from .signals import Constant, Sinusoid
 
 TWO_PI = 2.0 * np.pi
@@ -101,9 +102,10 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     ``dt_out`` (the ``--dt-out`` flag) replaces ``n_out`` by the number of
     grid points at that spacing.  Raises ConfigError for unknown keys,
     unparsable or non-finite values, a non-positive span or ``dt_out``, a
-    cutoff or grid below two points, a negative ``rtol``/``atol`` or both
-    zero, a negative damping rate ``kappa``, and a squeezing pair with
-    ``lm != conj(lp)`` (the Hamiltonian would not be Hermitian).
+    cutoff outside [2, fock.MAX_CUTOFF], a grid below two points, a negative
+    ``rtol``/``atol`` or both zero, a negative damping rate ``kappa``, and
+    a squeezing pair with ``lm != conj(lp)`` (the Hamiltonian would not be
+    Hermitian).
     """
     if scenario not in SCENARIO_DEFAULTS:
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
@@ -148,8 +150,9 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     if params["n_out"] < 2:
         raise ConfigError(f"n_out={params['n_out']}: the output grid needs at "
                           "least two points")
-    if params["cutoff"] < 2:
-        raise ConfigError(f"cutoff={params['cutoff']}: must be at least 2")
+    if not 2 <= params["cutoff"] <= fock.MAX_CUTOFF:
+        raise ConfigError(f"cutoff={params['cutoff']}: must be between 2 and "
+                          f"{fock.MAX_CUTOFF} (fock.MAX_CUTOFF)")
     if params["rtol"] < 0 or params["atol"] < 0:
         raise ConfigError("rtol and atol must be non-negative")
     if params["rtol"] == 0 and params["atol"] == 0:
@@ -196,44 +199,6 @@ def _ansatz_states(raw_traj, cutoff, psi0):
     return states
 
 
-# Share of a row's population allowed in its top two Fock levels, on any
-# oracle or ansatz row: the tightest fidelity floor a run is checked against.
-_LEAKAGE_TOL = 1e-8
-
-
-def _check_leakage(name, times, states):
-    """Raise LeakageTooLarge at the first row of ``states`` that keeps more
-    than _LEAKAGE_TOL of its norm squared in the top two levels.  A row
-    whose ratio is not a number (a collapsed, zero-norm state) fails too."""
-    top = np.array([fock.leakage(s) for s in states])
-    norm_sq = np.sum(np.abs(states) ** 2, axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = top / norm_sq
-    bad = np.flatnonzero(~(ratio <= _LEAKAGE_TOL))
-    if bad.size:
-        i = bad[0]
-        raise LeakageTooLarge(
-            f"{name} state keeps {top[i]:.2e} of its norm squared "
-            f"{norm_sq[i]:.2e} in the top two levels at t={times[i]:.6g}; "
-            "raise the cutoff"
-        )
-
-
-def _checked_fidelity(raw_traj, h_eval, cutoff, psi0, times):
-    """Oracle states and per-row fidelity of the replayed ansatz.
-
-    The ansatz is replayed and leakage-checked before the oracle runs, so a
-    run that leaks there fails without paying for the oracle; the oracle
-    rows are checked afterwards.  Returns (oracle_states, fidelity).
-    """
-    ansatz = _ansatz_states(raw_traj, cutoff, psi0)
-    _check_leakage("ansatz", times, ansatz)
-    oracle = _oracle_states(h_eval, psi0, times)
-    _check_leakage("oracle", times, oracle)
-    fid = np.array([fock.fidelity(a, o) for a, o in zip(ansatz, oracle)])
-    return oracle, fid
-
-
 # One row per unitary scenario: the engine problem built from the
 # parameters; the rows of the coefficient trajectory written as F0, F+ and
 # F-; and whether X/P are the closed-form linear-drive means
@@ -275,8 +240,13 @@ def _unitary_scenario(scenario, params):
     f0, f_plus, f_minus = (traj.values[i] for i in f_rows)
 
     psi0 = fock.coherent_state(alpha, cutoff)
-    oracle, fid = _checked_fidelity(
-        traj, fock.oracle_hamiltonian(problem, cutoff), cutoff, psi0, times)
+    # A run whose ansatz leaks fails without paying for the oracle.
+    ansatz = _ansatz_states(traj, cutoff, psi0)
+    fock.check_leakage("ansatz state", times, np.abs(ansatz) ** 2)
+    oracle = _oracle_states(fock.oracle_hamiltonian(problem, cutoff), psi0,
+                            times)
+    fock.check_leakage("oracle state", times, np.abs(oracle) ** 2)
+    fid = np.array([fock.fidelity(a, o) for a, o in zip(ansatz, oracle)])
     if closed_form:
         x, p = gaussian.quadrature_expectation(alpha, gaussian.LinearDriveCoefficients(
             times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
@@ -307,8 +277,9 @@ def run_open_damped(params):
     decoupling problem; the decoupled solution comes from
     ``liouville.lindblad_problem`` over the closed superalgebra, integrated
     at the run's rtol/atol and replayed on vec(rho0) with two-mode cutoff
-    (cutoff, cutoff).  ``fidelity`` is the normalised Hilbert-Schmidt
-    overlap of the two; X and P are means over the oracle rows.
+    (cutoff, cutoff).  The diagonals of both row sets are checked for
+    leakage, the replayed ones before the oracle runs.  ``fidelity`` is the
+    normalised Hilbert-Schmidt overlap of the two; X and P are oracle means.
     """
     cutoff = params["cutoff"]
     kappa = params["kappa"]
@@ -323,23 +294,26 @@ def run_open_damped(params):
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
     replay = _ansatz_states(traj, (cutoff, cutoff), liouville.vectorize(rho0))
+    # rho_nn sits at index n (cutoff + 2) of vec(rho).
+    fock.check_leakage("replayed density", times, replay[:, ::cutoff + 2].real)
 
     gen = liouville.build_lindbladian(
         fock.to_matrix(hamiltonian, cutoff),
         [fock.to_matrix(jump, cutoff) for jump in jumps], rates)
-    oracle = liouville.propagate_density(gen, rho0, T, times=times).matrices
+    oracle = liouville.propagate_density(gen, rho0, T, times=times)
+    fock.check_leakage("oracle density", times,
+                       np.diagonal(oracle.matrices, axis1=1, axis2=2).real)
 
     # Normalised Hilbert-Schmidt overlap of the oracle and replayed rows.
     fid = np.array(
         [
             abs(np.trace(r1 @ r2))
             / max(np.sqrt(abs(np.trace(r1 @ r1) * np.trace(r2 @ r2))), 1e-300)
-            for r1, r2 in zip(oracle, map(liouville.devectorize, replay))
+            for r1, r2 in zip(oracle.matrices, map(liouville.devectorize, replay))
         ]
     )
-    x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
-    x = np.array([np.trace(x_mat @ r).real for r in oracle])
-    p = np.array([np.trace(p_mat @ r).real for r in oracle])
+    x = oracle.expectation(fock.x_op(cutoff)).real
+    p = oracle.expectation(fock.p_op(cutoff)).real
     columns = {"t": times, "X": x, "P": p, "fidelity": fid}
     return columns, float(np.min(fid))
 

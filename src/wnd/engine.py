@@ -133,18 +133,13 @@ class _XiBuilder:
         return xi
 
 
-def xi_matrix(structure, f, ordering=None):
+def xi_matrix(structure, f):
     """Coefficient-transfer matrix Xi(F) for the given structure constants.
 
     Column j holds the coordinates of prod_{k<j} exp(-i F_k ad H_k) applied
-    to the j-th unit vector.  ``ordering`` optionally permutes the basis into
-    the ansatz order before building the matrix.  Xi(0) is the identity.
+    to the j-th unit vector, in basis order.  Xi(0) is the identity.
     """
     c = np.asarray(structure, dtype=complex)
-    if ordering is not None:
-        perm = list(ordering)
-        c = c[np.ix_(perm, perm, perm)]
-        f = np.asarray(f, dtype=complex)[perm]
     return _XiBuilder(ladder.adjoint_matrices(c))(f)
 
 
@@ -162,21 +157,18 @@ class DecouplingProblem:
     """A Hamiltonian in basis coordinates plus the span to integrate over.
 
     ``signals`` holds one driving coefficient per basis element, in basis
-    order; missing trailing entries are padded with zero.  ``ordering``
-    permutes the basis into the desired ansatz order at construction time,
-    so the integrator and Xi always work in ansatz order.  The initial
-    condition F(0) = 0 is fixed by the decoupling theorem.
+    order; missing trailing entries are padded with zero.  The ansatz order
+    is the basis order: to change it, pass ``basis.reordered(perm)`` and the
+    signals permuted to match.  The initial condition F(0) = 0 is fixed by
+    the decoupling theorem.
     """
 
-    def __init__(self, basis, signals, t_final, ordering=None):
+    def __init__(self, basis, signals, t_final):
         n = len(basis)
         signals = [as_signal(s) for s in signals]
         if len(signals) > n:
             raise ValueError("more signals than basis elements")
         signals += [ZERO] * (n - len(signals))
-        if ordering is not None:
-            basis = basis.reordered(ordering)
-            signals = [signals[i] for i in ordering]
         self.basis = basis
         self.signals = signals
         # G(t) starts from the constant entries, filled once; each distinct

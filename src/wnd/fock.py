@@ -45,7 +45,8 @@ Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
 so operator-level comparisons should exclude the top rows/columns while
 state-level comparisons should keep the population near the cutoff (the
-"leakage") negligible.
+"leakage") negligible.  :func:`check_leakage` is the one leakage rule for
+every ``wnd run`` row, state or density, and it judges each mode apart.
 """
 
 from __future__ import annotations
@@ -196,6 +197,43 @@ def is_hermitian(mat, tol=1e-12):
     return np.max(np.abs(mat - mat.conj().T)) <= tol * scale
 
 
+# Largest supported cutoff: a dense oracle's memory grows as cutoff^2.
+MAX_CUTOFF = 512
+MIN_CUTOFF = 24  # the smallest cutoff choose_cutoff suggests
+# Largest share of a row's population a mode may keep in its top two levels.
+LEAKAGE_TOL = 1e-8
+
+
+def _top_two_share(populations):
+    """(share, top, total) per row of ``populations`` (rows, levels): the
+    population of the top two levels over the row's total, NaN for 0."""
+    top, total = populations[:, -2:].sum(axis=1), populations.sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return top / total, top, total
+
+
+def check_leakage(what, times, populations):
+    """Raise LeakageTooLarge, naming ``what``, at the first row where a mode
+    keeps more than LEAKAGE_TOL of the row's population in its top two
+    levels, or where that share is not a number (no population left).
+    ``populations`` holds |psi|^2 or diag(rho) per row, of shape (rows,
+    levels) or (rows, levels_a, levels_b); each mode's marginal is judged.
+    """
+    populations = np.asarray(populations)
+    modes = range(populations.ndim - 1)
+    shares = [_top_two_share(populations.sum(
+        axis=tuple(1 + k for k in modes if k != mode))) for mode in modes]
+    bad = np.array([~(share <= LEAKAGE_TOL) for share, _, _ in shares])
+    if bad.any():
+        i = np.flatnonzero(bad.any(axis=0))[0]
+        mode = np.flatnonzero(bad[:, i])[0]
+        _, top, total = shares[mode]
+        raise LeakageTooLarge(
+            f"{what} keeps {top[i]:.2e} of its population {total[i]:.2e} in "
+            f"the top two levels of mode {'ab'[mode]} at t={times[i]:.6g}; "
+            "raise the cutoff")
+
+
 def coherent_state(alpha, cutoff, leakage_tol=1e-10):
     """Normalised truncation of exp(-|alpha|^2/2) alpha^n / sqrt(n!).
 
@@ -213,11 +251,10 @@ def coherent_state(alpha, cutoff, leakage_tol=1e-10):
     log_factorial = np.array([math.lgamma(k + 1) for k in range(cutoff + 1)])
     log_mag = -abs(alpha) ** 2 / 2 + n * np.log(abs(alpha)) - 0.5 * log_factorial
     vec = np.exp(log_mag) * np.exp(1j * n * np.angle(alpha))
-    top = float(np.sum(np.abs(vec[-2:]) ** 2))
     # Relative to what the truncation keeps: far beyond the cutoff every
-    # amplitude underflows, and nothing is kept.
-    kept = float(np.sum(np.abs(vec) ** 2))
-    if kept == 0.0 or top > leakage_tol * kept:
+    # amplitude underflows, nothing is kept and the share is NaN.
+    (share,), (top,), (kept,) = _top_two_share(np.abs(vec[None]) ** 2)
+    if not share <= leakage_tol:
         try:
             hint = f"; try cutoff {choose_cutoff(alpha)}"
         except ValueError as exc:
@@ -228,11 +265,6 @@ def coherent_state(alpha, cutoff, leakage_tol=1e-10):
             f"{cutoff}{hint}"
         )
     return vec / np.linalg.norm(vec)
-
-
-def leakage(state, levels=2):
-    """Population in the top ``levels`` components."""
-    return float(np.sum(np.abs(state[-levels:]) ** 2))
 
 
 def fidelity(psi, phi):
@@ -591,17 +623,18 @@ def ansatz_state(trajectory, cutoff, initial):
     return apply_ansatz(trajectory.final, mats, initial)
 
 
-def choose_cutoff(alpha=0.0, displacement=0.0, squeezing=0.0, minimum=24, ceiling=512):
+def choose_cutoff(alpha=0.0, displacement=0.0, squeezing=0.0):
     """Cutoff heuristic from expected occupation.
 
     ``displacement`` bounds the extra coherent amplitude accumulated by the
     drive, ``squeezing`` the squeezing parameter r.  The returned cutoff
-    keeps the estimated occupation below cutoff/2 with a spread margin.
+    keeps the estimated occupation below cutoff/2 with a spread margin, and
+    is at least MIN_CUTOFF; raises ValueError past MAX_CUTOFF.
     """
     amp = abs(alpha) + abs(displacement)
     n_est = (amp ** 2 + np.sinh(abs(squeezing)) ** 2) * np.exp(2 * abs(squeezing))
     cut = int(np.ceil(2 * n_est + 12 * np.sqrt(n_est + 1) + 8))
-    cut = max(minimum, cut)
-    if cut > ceiling:
-        raise ValueError(f"required cutoff {cut} exceeds supported ceiling {ceiling}")
+    cut = max(MIN_CUTOFF, cut)
+    if cut > MAX_CUTOFF:
+        raise ValueError(f"required cutoff {cut} exceeds supported ceiling {MAX_CUTOFF}")
     return cut

@@ -398,8 +398,8 @@ def _tokenize(text):
 MAX_NESTING = 100
 
 # Largest exponent the parser accepts.  A power multiplies once per unit of
-# its exponent, and no Fock image of a higher degree exists below
-# ``fock.choose_cutoff``'s ceiling of 512 levels.
+# its exponent, and no Fock image of a higher degree exists below the
+# largest supported cutoff, ``fock.MAX_CUTOFF`` = 512 levels.
 MAX_EXPONENT = 512
 
 

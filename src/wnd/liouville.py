@@ -259,27 +259,42 @@ def _shift_to_second_mode(poly):
     )
 
 
-def superalgebra_closure(hamiltonian, jump_ops, max_dim=24):
-    """Close the generator set of the vectorised master equation.
+_CLOSURE_MAX_DIM = 24  # the largest superalgebra lindblad_problem closes
 
-    ``hamiltonian`` and each jump operator are single-mode polynomials.  The
-    doubled generators are H x 1, 1 x H^T, L_n x (L_m')^T and the
-    anticommutator pieces L_m' L_n x 1, 1 x (L_m' L_n)^T for every channel
-    pair.  Returns the closed basis with central elements flagged; raises
-    ClosureOverflow past ``max_dim``.
+
+def _lindblad_terms(hamiltonian, jump_ops, rates):
+    """The doubled generator as (weight, polynomial) terms,
+
+        L = -i (sp(H, 1) - sp(1, H))
+            + sum_nm h_nm [sp(L_n, L_m') - sp(L_m' L_n, 1) / 2
+                           - sp(1, L_m' L_n) / 2],
+
+    with sp = :func:`superop_polynomial` and h = ``rates`` (None: the
+    identity).  Every channel pair is listed, zero rates included, so the
+    polynomials do not depend on the rates.
     """
+    rates = _rate_matrix(rates, len(jump_ops))
     one = ladder.identity()
-    gens = [
-        superop_polynomial(hamiltonian, one),
-        superop_polynomial(one, hamiltonian),
-    ]
-    for l_n in jump_ops:
-        for l_m in jump_ops:
+    terms = [(-1j, superop_polynomial(hamiltonian, one)),
+             (1j, superop_polynomial(one, hamiltonian))]
+    for n, l_n in enumerate(jump_ops):
+        for m, l_m in enumerate(jump_ops):
+            w = complex(rates[n, m])
             anti = l_m.dagger() * l_n
-            gens.append(superop_polynomial(l_n, l_m.dagger()))
-            gens.append(superop_polynomial(anti, one))
-            gens.append(superop_polynomial(one, anti))
-    return ladder.close_algebra(gens, max_dim=max_dim)
+            terms += [(w, superop_polynomial(l_n, l_m.dagger())),
+                      (-0.5 * w, superop_polynomial(anti, one)),
+                      (-0.5 * w, superop_polynomial(one, anti))]
+    return terms
+
+
+def superalgebra_closure(hamiltonian, jump_ops, max_dim=_CLOSURE_MAX_DIM):
+    """Closed basis, central elements flagged, of the polynomials of
+    :func:`_lindblad_terms`: H x 1, 1 x H^T, L_n x (L_m')^T, L_m' L_n x 1 and
+    1 x (L_m' L_n)^T for every channel pair.  Raises ClosureOverflow past
+    ``max_dim``."""
+    return ladder.close_algebra(
+        [poly for _, poly in _lindblad_terms(hamiltonian, jump_ops, None)],
+        max_dim=max_dim)
 
 
 def lindblad_problem(hamiltonian, jump_ops, rates, t_final):
@@ -287,32 +302,17 @@ def lindblad_problem(hamiltonian, jump_ops, rates, t_final):
 
     ``hamiltonian`` and each jump operator are single-mode polynomials and
     ``rates`` the constant matrix h_nm (None: one unit-rate channel per
-    jump operator).  The generator is written in the doubled picture,
-
-        L = -i (sp(H, 1) - sp(1, H))
-            + sum_nm h_nm [sp(L_n, L_m') - sp(L_m' L_n, 1) / 2
-                           - sp(1, L_m' L_n) / 2],
-
-    with sp = :func:`superop_polynomial`, and expanded as L = sum_j c_j E_j
-    over :func:`superalgebra_closure`.  d vec(rho)/dt = L vec(rho) is
+    jump operator).  The generator L, the weighted sum of
+    :func:`_lindblad_terms`, is expanded as L = sum_j c_j E_j over the
+    closure of their polynomials.  d vec(rho)/dt = L vec(rho) is
     d vec(rho)/dt = -i (i L) vec(rho), so the problem's signals are the
     constants G_j = i c_j, and the ordered exponential of its solution,
     replayed on vec(rho0) with cutoff (c, c), gives vec(rho(t)).
     """
-    rates = _rate_matrix(rates, len(jump_ops))
-    one = ladder.identity()
-    gen = -1j * (superop_polynomial(hamiltonian, one)
-                 - superop_polynomial(one, hamiltonian))
-    for n, l_n in enumerate(jump_ops):
-        for m, l_m in enumerate(jump_ops):
-            w = complex(rates[n, m])
-            if w == 0:
-                continue
-            anti = l_m.dagger() * l_n
-            gen = gen + w * (superop_polynomial(l_n, l_m.dagger())
-                             - 0.5 * superop_polynomial(anti, one)
-                             - 0.5 * superop_polynomial(one, anti))
-    basis = superalgebra_closure(hamiltonian, jump_ops)
+    terms = _lindblad_terms(hamiltonian, jump_ops, rates)
+    basis = ladder.close_algebra([poly for _, poly in terms],
+                                 max_dim=_CLOSURE_MAX_DIM)
+    gen = sum((w * poly for w, poly in terms), ladder.LadderPolynomial.zero(2))
     coords = ladder.coordinates_in_basis(gen, basis.elements)
     return engine.DecouplingProblem(basis, [Constant(1j * c) for c in coords],
                                     t_final)

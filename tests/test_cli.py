@@ -97,6 +97,9 @@ class TestRunCommand:
             # Degenerate truncations and grids.
             ["linear-constant", "cutoff=0"],
             ["linear-constant", "--cutoff", "1"],
+            # Past fock.MAX_CUTOFF the dense oracle's memory, which grows
+            # as cutoff^2, would end the run in an out-of-memory kill.
+            ["linear-constant", "cutoff=513"],
             ["linear-constant", "n_out=1"],
             ["linear-constant", "T=2.0", "--dt-out", "5.0"],
             ["linear-constant", "--dt-out", "-1"],
@@ -107,7 +110,7 @@ class TestRunCommand:
             ["open-damped", "kappa=-1"],
         ],
         ids=["quadratic-lm", "combined-lm", "cutoff-0", "cutoff-1",
-             "n-out-1", "dt-out-beyond-T", "dt-out-negative", "rtol-negative",
+             "cutoff-513", "n-out-1", "dt-out-beyond-T", "dt-out-negative", "rtol-negative",
              "atol-negative", "tolerances-zero", "kappa-negative"],
     )
     def test_rejected_parameters_exit_code(self, argv, tmp_path, capsys):
@@ -224,6 +227,54 @@ class TestRunCommand:
                         "T=2.0", "n_out=5", "cutoff=16",
                         "--out", str(tmp_path / "open.csv")]) == 0
         assert [(k["rtol"], k["atol"]) for k in seen] == [(1e-8, 1e-10)]
+
+    def test_open_damped_oracle_leak_is_one_line_exit_3(self, tmp_path,
+                                                        capsys, monkeypatch):
+        # Density rows meet the unitary rows' leakage rule, judged on the
+        # diagonal of rho.  Population put on the top level of one oracle
+        # row leaves the fidelity column within 1e-12 of 1, so only the
+        # leakage check can stop the run.
+        real = liouville.propagate_density
+
+        def leaky(*args, **kwargs):
+            density = real(*args, **kwargs)
+            density.matrices[2, -1, -1] += 1e-6
+            return density
+
+        monkeypatch.setattr(liouville, "propagate_density", leaky)
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "open-damped", "T=2.0", "n_out=5", "cutoff=16",
+                        "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: oracle density") and err.count("\n") == 1
+        assert "top two levels" in err and "t=1;" in err
+        assert not out.exists()
+
+    def test_open_damped_replay_leak_stops_before_oracle(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # A replayed row that leaks fails before the Liouville oracle runs,
+        # as a leaking ansatz does on the unitary rows.
+        calls = []
+        real_oracle = liouville.propagate_density
+        monkeypatch.setattr(liouville, "propagate_density",
+                            lambda *a, **k: calls.append(k) or real_oracle(*a, **k))
+        real_replay = cli._ansatz_states
+
+        def leaky(*args):
+            rows = real_replay(*args)
+            rows[3, -1] += 1e-6  # rho_cc, the top level, at t = 1.5
+            return rows
+
+        monkeypatch.setattr(cli, "_ansatz_states", leaky)
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "open-damped", "T=2.0", "n_out=5", "cutoff=16",
+                        "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: replayed density")
+        assert err.count("\n") == 1
+        assert "top two levels" in err and "t=1.5;" in err
+        assert calls == []
+        assert not out.exists()
 
     @pytest.mark.parametrize("alpha,hint", [
         ("3", f"try cutoff {fock.choose_cutoff(3.0)}"),

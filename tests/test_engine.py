@@ -34,17 +34,6 @@ class TestXiMatrix:
             col, [0.0, 0.0, np.exp(1j * f0), 1j * f_plus], atol=1e-14
         )
 
-    def test_ordering_permutation(self):
-        basis = gaussian.linear_basis()
-        c = structure_constants(basis)
-        f = np.array([0.3, 0.1 + 0.2j, -0.4j, 0.05])
-        perm = [2, 0, 3, 1]
-        reordered = basis.reordered(perm)
-        c_perm = structure_constants(reordered)
-        direct = xi_matrix(c_perm, f[perm])
-        via_arg = xi_matrix(c, f, ordering=perm)
-        np.testing.assert_allclose(direct, via_arg, atol=1e-13)
-
 
 def _xi_reference(adjoints, f):
     """Xi column by column from scipy.linalg.expm of the adjoint matrices."""
@@ -367,29 +356,11 @@ class TestProblemConstruction:
             assert np.array_equal(got, want)
 
     def test_too_many_signals(self):
-        for ordering in (None, [2, 0, 1]):
-            with pytest.raises(ValueError, match="more signals"):
-                DecouplingProblem(
-                    gaussian.su11_basis(include_identity=False),
-                    [Constant(1.0)] * 5, 1.0, ordering=ordering,
-                )
-
-    def test_ordering_applied_once(self):
-        basis = gaussian.linear_basis()
-        prob = DecouplingProblem(
-            basis, [Constant(1.0), Constant(0.2), Constant(0.2), Constant(0.0)],
-            1.0, ordering=[1, 0, 2, 3],
-        )
-        assert prob.basis.elements[0] == ladder.creation()
-        np.testing.assert_array_equal(prob.g_vector(0.0), [0.2, 1.0, 0.2, 0.0])
-        # A short list is padded with zero drives before the permutation,
-        # so the missing identity drive lands where the identity goes.
-        prob = DecouplingProblem(
-            basis, [Constant(1.0), Constant(0.2), Constant(0.3)], 1.0,
-            ordering=[3, 2, 0, 1],
-        )
-        assert prob.basis.elements[0] == ladder.identity()
-        np.testing.assert_array_equal(prob.g_vector(0.0), [0.0, 0.3, 1.0, 0.2])
+        with pytest.raises(ValueError, match="more signals"):
+            DecouplingProblem(
+                gaussian.su11_basis(include_identity=False),
+                [Constant(1.0)] * 5, 1.0,
+            )
 
     def test_span_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -819,7 +821,55 @@ class TestLeakageControl:
 
     def test_leakage_helper(self):
         psi = fock.coherent_state(1.0, 30)
-        assert fock.leakage(psi) < 1e-12
+        share, _top, _total = fock._top_two_share(np.abs(psi[None]) ** 2)
+        assert share[0] < 1e-12
+        fock.check_leakage("coherent state", [0.0], np.abs(psi[None]) ** 2)
+
+    def test_single_mode_rows_keep_the_row_ratio(self):
+        # On one mode the share is the top two |psi_n|^2 over sum |psi_n|^2,
+        # summed in that order: the first failing row and its two numbers
+        # are those of the per-row ratio.
+        times = np.linspace(0.0, 1.0, 6)
+        states = np.array([fock.coherent_state(a, 24, leakage_tol=1.0)
+                           for a in (0.5, 1.0, 1.5, 2.5, 3.5, 4.5)])
+        states *= np.array([1.0, 2.0, 0.5, 3.0, 1.0, 1.0])[:, None]
+        top = np.array([float(np.sum(np.abs(s[-2:]) ** 2)) for s in states])
+        norm_sq = np.sum(np.abs(states) ** 2, axis=1)
+        i = np.flatnonzero(top / norm_sq > fock.LEAKAGE_TOL)[0]
+        assert 0 < i < len(times) - 1
+        with pytest.raises(LeakageTooLarge) as info:
+            fock.check_leakage("ansatz state", times, np.abs(states) ** 2)
+        msg = str(info.value)
+        assert f"keeps {top[i]:.2e} of its population {norm_sq[i]:.2e} " in msg
+        assert "top two levels of mode a" in msg
+        assert f"t={times[i]:.6g};" in msg
+
+    @pytest.mark.parametrize("top_mode", [0, 1])
+    def test_two_mode_rows_are_judged_per_mode(self, top_mode):
+        # One mode on its top level, the other in vacuum: the last two
+        # entries of the flattened row, |5, 6> and |5, 7>, hold nothing,
+        # yet that mode's marginal is all in its top two levels.
+        populations = np.zeros((2, 6, 8))
+        populations[:, 0, 0] = 1.0
+        populations[1, 0, 0] = 0.0
+        populations[1, 5, 0] = 1.0 if top_mode == 0 else 0.0
+        populations[1, 0, 7] = 1.0 if top_mode == 1 else 0.0
+        if top_mode == 0:
+            assert not np.any(populations.reshape(2, -1)[:, -2:])
+        fock.check_leakage("clean", [0.0], populations[:1])
+        with pytest.raises(LeakageTooLarge,
+                           match=f"top two levels of mode {'ab'[top_mode]} "
+                                 "at t=0.5;"):
+            fock.check_leakage("product state", [0.0, 0.5], populations)
+
+    def test_empty_row_fails_without_warning(self):
+        populations = np.zeros((3, 10))
+        populations[:, 0] = [1.0, 0.0, 1.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(LeakageTooLarge,
+                               match="population 0.00e\\+00 .* at t=0.25;"):
+                fock.check_leakage("collapsed", [0.0, 0.25, 0.5], populations)
 
 
 class TestHeisenbergAgreement:
