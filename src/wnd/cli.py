@@ -26,7 +26,7 @@ is derived from the row's engine problem, never written by hand.
 closed superalgebra (``liouville.lindblad_problem``, at the run's
 rtol/atol), replays the factors on vec(rho0) through the same replay as the
 unitary rows, and checks the result against the Liouville propagation of
-the sparse generator, its oracle.  An initial coherent state that leaks at
+the banded generator, its oracle.  An initial coherent state that leaks at
 the cutoff fails with exit 3 and a suggested cutoff.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
@@ -272,7 +272,7 @@ def _unitary_scenario(scenario, params):
 def run_open_damped(params):
     """Damped cavity (H = N, jump a at rate kappa).
 
-    The oracle is the Liouville propagation of the sparse generator built
+    The oracle is the Liouville propagation of the banded generator built
     from the ``fock.to_matrix`` images of the same H and jump that define the
     decoupling problem; the decoupled solution comes from
     ``liouville.lindblad_problem`` over the closed superalgebra, integrated
@@ -304,14 +304,13 @@ def run_open_damped(params):
     fock.check_leakage("oracle density", times,
                        np.diagonal(oracle.matrices, axis1=1, axis2=2).real)
 
-    # Normalised Hilbert-Schmidt overlap of the oracle and replayed rows.
-    fid = np.array(
-        [
-            abs(np.trace(r1 @ r2))
-            / max(np.sqrt(abs(np.trace(r1 @ r1) * np.trace(r2 @ r2))), 1e-300)
-            for r1, r2 in zip(oracle.matrices, map(liouville.devectorize, replay))
-        ]
-    )
+    # Normalised Hilbert-Schmidt overlap of the oracle and replayed rows;
+    # row n of ``replay`` reshaped in C order is rho_n transposed.
+    r1 = oracle.matrices
+    r2 = replay.reshape(r1.shape).transpose(0, 2, 1)
+    tr = liouville.trace_products
+    fid = np.abs(tr(r1, r2)) / np.maximum(
+        np.sqrt(np.abs(tr(r1, r1) * tr(r2, r2))), 1e-300)
     x = oracle.expectation(fock.x_op(cutoff)).real
     p = oracle.expectation(fock.p_op(cutoff)).real
     columns = {"t": times, "X": x, "P": p, "fidelity": fid}

@@ -32,14 +32,21 @@ The ordered exponential prod_j exp(-i F_j M_j) is replayed by
 :func:`apply_ansatz` factor by factor on a state vector, or on a block of
 column states (the identity, for the operator itself), so no dense
 exponential is formed.  :func:`ansatz_matrices` classifies each generator
-image once, as a :class:`FactorImage` (a diagonal, one band, or a CSR
-matrix), so a replay of many rows does not inspect its factors again and a
+image once, as a :class:`FactorImage` (a diagonal, one band, or several
+bands), so a replay of many rows does not inspect its factors again and a
 two-mode image is never dense.  Diagonal factors multiply elementwise; a
 generator whose nonzeros lie on one off-diagonal (the image of every ladder
 monomial ad^p a^q with p != q, in one or two modes) is nilpotent, so its
 exponential is the terminating Taylor series, summed in full with
-elementwise products; any other generator (a CSR image) goes through
-:func:`_taylor_step`.
+elementwise products; any other generator goes through :func:`_taylor_step`
+as a :class:`Bands`.
+
+:class:`Bands` (defined in ``wnd.bands``) is the package's one sparse
+form: a square operator held as its nonzero diagonals, the form
+:func:`_image_bands` builds.  It carries the replay's multi-band factors
+and the Liouville generator of ``liouville``, and :func:`to_matrix` is its
+dense matrix, so the bands are placed into a dense matrix in one place
+only.
 
 Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
@@ -56,6 +63,7 @@ import math
 import numpy as np
 
 from . import engine
+from .bands import Bands
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 from .signals import Constant
 
@@ -151,12 +159,7 @@ def to_matrix(poly, cutoff):
     from the same construction as the replay images of
     :func:`ansatz_matrices`.
     """
-    dim, bands = _image_bands(poly, cutoff)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k, band in bands.items():
-        rows = np.arange(band.size) + max(0, -k)
-        out[rows, rows + k] = band
-    return out
+    return Bands(*_image_bands(poly, cutoff)).toarray()
 
 
 def oracle_hamiltonian(problem, cutoff):
@@ -295,11 +298,12 @@ _TAYLOR_MAX_TERMS = 30
 def _taylor_step(op, dt, psi, norm=None):
     """exp(-i op dt) @ psi by a Taylor series on the vector.
 
-    ``op`` is a dense or CSR matrix and ``dt`` a real or complex step.  The
-    step is cut into ceil(|dt| ||op||_1) pieces, so every piece has norm
-    <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488
-    (2011)); one piece when that product is not finite.  ``norm`` is
-    ||op||_1 (largest column sum) when the caller already knows it.
+    ``op`` is a dense matrix or a :class:`Bands` and ``dt`` a real or
+    complex step.  The step is cut into ceil(|dt| ||op||_1) pieces, so every
+    piece has norm <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011)); one piece when that product is not finite.
+    ``norm`` is ||op||_1 (largest column sum) when the caller already knows
+    it.
     ``psi`` is a vector or a block of column states.  Each piece sums terms
     until one falls below roundoff relative to psi (its Frobenius norm for a
     block).
@@ -307,7 +311,7 @@ def _taylor_step(op, dt, psi, norm=None):
     terms, which only non-finite input can cause.
     """
     if norm is None:
-        norm = np.max(abs(op).sum(axis=0))
+        norm = op.norm1() if isinstance(op, Bands) else np.max(abs(op).sum(axis=0))
     reach = abs(dt) * norm
     pieces = max(1, int(np.ceil(reach))) if np.isfinite(reach) else 1
     scale = -1j * dt / pieces
@@ -344,7 +348,7 @@ def _cfm4_exponents(g1, g2):
     the two Gauss-Legendre nodes, in the order they act on the state.
 
     A sub-step of size dt is exp(-i dt X2) exp(-i dt X1) for (X1, X2) the
-    returned pair; ``g1``, ``g2`` are dense or sparse matrices.  Both
+    returned pair; ``g1``, ``g2`` are dense matrices or :class:`Bands`.  Both
     oracles form their time-dependent sub-steps here.
     """
     return _CFM4_A1 * g1 + _CFM4_A2 * g2, _CFM4_A2 * g1 + _CFM4_A1 * g2
@@ -514,22 +518,23 @@ class FactorImage:
 
     ``offset`` 0: ``data`` is the diagonal; another int: ``data`` is the one
     band ``np.diagonal(M, offset)`` that holds every nonzero; None: ``data``
-    is M in CSR.
+    is M as a :class:`Bands` and ``norm`` is ||M||_1.
     """
 
-    __slots__ = ("shape", "offset", "data")
+    __slots__ = ("shape", "offset", "data", "norm")
 
-    def __init__(self, dim, offset, data):
+    def __init__(self, dim, offset, data, norm=None):
         self.shape = (dim, dim)
         self.offset = offset
         self.data = data
+        self.norm = norm
 
 
 def _classify(dim, bands):
     """FactorImage from the bands of M (``{offset: np.diagonal(M, offset)}``).
 
     Bands with no nonzero are dropped.  M with more than one band left is
-    assembled in CSR from the bands.
+    kept as a :class:`Bands`, with its norm computed once.
     """
     bands = {k: band for k, band in bands.items() if np.any(band)}
     if not bands:
@@ -537,10 +542,8 @@ def _classify(dim, bands):
     if len(bands) == 1:
         (offset, band), = bands.items()
         return FactorImage(dim, offset, band)
-    import scipy.sparse
-
-    return FactorImage(dim, None, scipy.sparse.diags(
-        list(bands.values()), list(bands), shape=(dim, dim), format="csr"))
+    image = Bands(dim, bands)
+    return FactorImage(dim, None, image, image.norm1())
 
 
 def ansatz_matrices(basis, cutoff):
@@ -613,7 +616,7 @@ def apply_ansatz(f_values, matrices, state=None):
         elif image.offset is not None:
             psi = _banded_exp_action(-1j * f, image.data, image.offset, psi)
         else:
-            psi = _taylor_step(image.data, f, psi)
+            psi = _taylor_step(image.data, f, psi, image.norm)
     return psi
 
 

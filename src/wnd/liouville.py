@@ -17,13 +17,14 @@ Every kron/transpose placement above is pinned by the vectorisation identity
 (see ``kron_identity_residual``), not taken on faith; the builder also
 verifies trace preservation of the assembled generator.
 
-The generator is assembled sparse (CSR, from sparse kron products): a damped
-cavity at cutoff 30 has 1860 nonzeros out of 923k, on two diagonals.
-Propagation is driven by the Fock oracle's driver (``fock._stepped``),
-which owns the grid, the step size and the refinement; each sub-step is the
-scaled Taylor series of the Fock oracle (``fock._taylor_step``) acting on
-vec(rho) through a CSR generator, so neither a dense generator nor a dense
-exponential is formed, and Hermiticity is restored after each step.
+The generator is assembled as a ``fock.Bands``, its nonzero diagonals: a
+kron product of two banded matrices is banded, so a damped cavity at cutoff
+30 keeps 1860 numbers out of 923k, on two diagonals.  Propagation is driven
+by the Fock oracle's driver (``fock._stepped``), which owns the grid, the
+step size and the refinement; each sub-step is the scaled Taylor series of
+the Fock oracle (``fock._taylor_step``) acting on vec(rho) through the
+banded generator, so neither a dense generator nor a dense exponential is
+formed, and Hermiticity is restored after each step.
 
 The same dynamics is solved by the decoupling theorem.
 ``superalgebra_closure`` doubles operators into two-mode ladder polynomials
@@ -65,10 +66,33 @@ def devectorize(vec):
 
 
 def left_right_superop(left, right):
-    """Matrix of rho -> left @ rho @ right under column stacking, in CSR."""
-    import scipy.sparse
+    """Matrix of rho -> left @ rho @ right under column stacking,
+    kron(right^T, left), as a ``fock.Bands``.
 
-    return scipy.sparse.kron(np.asarray(right).T, np.asarray(left), format="csr")
+    Diagonal k_o of right^T and diagonal k_i of left (dimension d) land on
+    diagonal k_o d + k_i of the product, each entry the product of one entry
+    of each; two pairs that share a diagonal fill disjoint rows.
+    """
+    outer = fock.Bands.from_dense(np.asarray(right).T)
+    inner = fock.Bands.from_dense(left)
+    d_o, d_i = outer.shape[0], inner.shape[0]
+    dim = d_o * d_i
+    bands = {}
+    for k_o, band_o in outer.bands.items():
+        for k_i, band_i in inner.bands.items():
+            k = k_o * d_i + k_i
+            by_row = np.kron(_by_row(d_o, k_o, band_o), _by_row(d_i, k_i, band_i))
+            band = by_row[max(0, -k):dim - max(0, k)]
+            bands[k] = bands[k] + band if k in bands else band
+    return fock.Bands(dim, bands)
+
+
+def _by_row(dim, offset, band):
+    """Diagonal ``offset`` of a dim x dim matrix indexed by row: zero in the
+    rows it does not reach."""
+    vec = np.zeros(dim, dtype=band.dtype)
+    vec[max(0, -offset):dim - max(0, offset)] = band
+    return vec
 
 
 def kron_identity_residual(a, b, c):
@@ -103,25 +127,32 @@ def _rate_matrix(rates, count):
 
 
 def build_lindbladian(hamiltonian, jump_ops, rates=None):
-    """Sparse (CSR) generator matrix for the Markovian master equation.
+    """Generator matrix of the Markovian master equation, as a ``fock.Bands``.
 
-    ``rates`` is the Hermitian PSD matrix h_nm (defaults to the identity,
-    i.e. one unit-rate channel per jump operator; a single operator with
-    rate kappa corresponds to rates=[[kappa]]).  A non-PSD rate matrix is
-    flagged with a warning, not an error.  The assembled generator is
-    checked for trace preservation (trace functional annihilates it to
-    1e-10).
+    ``hamiltonian`` and every jump operator are square matrices of one
+    shape (a ValueError names the shapes otherwise).  ``rates`` is the
+    Hermitian PSD matrix h_nm (defaults to the identity, i.e. one unit-rate
+    channel per jump operator; a single operator with rate kappa corresponds
+    to rates=[[kappa]]).  A non-PSD rate matrix is flagged with a warning,
+    not an error.  The assembled generator is checked for trace
+    preservation (trace functional annihilates it to 1e-10).
     """
     h = np.asarray(hamiltonian, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"Hamiltonian shape {h.shape} is not square (n, n)")
+    jump_ops = [np.asarray(op, dtype=complex) for op in jump_ops]
+    for op in jump_ops:
+        if op.shape != h.shape:
+            raise ValueError(f"jump operator shape {op.shape} differs from "
+                             f"the Hamiltonian shape {h.shape}")
     dim = h.shape[0]
     eye = np.eye(dim, dtype=complex)
-    jump_ops = [np.asarray(op, dtype=complex) for op in jump_ops]
     rates = _rate_matrix(rates, len(jump_ops))
 
     # The terms are summed in the order of operations of -1j * (L - R) and
-    # w * (sandwich - A1/2 - A2/2).  A sparse sum stores only the entries
-    # some term reaches, each computed as in the dense expression, so the
-    # generator equals its dense build entry for entry.
+    # w * (sandwich - A1/2 - A2/2).  A band sum holds only the diagonals
+    # some term reaches, each entry computed as in the dense expression, so
+    # the generator equals its dense build entry for entry.
     gen = -1j * (left_right_superop(h, eye) - left_right_superop(eye, h))
     for n, l_n in enumerate(jump_ops):
         for m, l_m in enumerate(jump_ops):
@@ -155,7 +186,14 @@ class DensityTrajectory:
         return self.matrices[-1]
 
     def expectation(self, op):
-        return np.array([np.trace(op @ rho) for rho in self.matrices])
+        return trace_products(op, self.matrices)
+
+
+def trace_products(a, b):
+    """tr(A B) over stacked (broadcast) square matrices: (A B)_ii =
+    sum_j A_ij B_ji per row i, then the sum over i, as a trace of the
+    product would take them."""
+    return np.einsum("...ij,...ji->...i", a, b).sum(axis=-1)
 
 
 def _check_density(rho):
@@ -173,12 +211,13 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
     """Density-matrix trajectory of the Liouville oracle, stepped by the
     Fock oracle's driver ``fock._stepped`` with span ``t_final``.
 
-    ``generator`` is a Lindbladian matrix, dense or sparse, converted once
-    to CSR, or a callable t -> matrix; ``trace_tol`` is the driver's
+    ``generator`` is a Lindbladian as a ``fock.Bands`` or a dense matrix
+    (converted once through its nonzero diagonals), or a callable t -> either
+    form; any other input raises TypeError.  ``trace_tol`` is the driver's
     refinement tolerance, and ``times`` defaults to 101 points on [0,
     t_final].  A sub-step applies exp(L dt) of a matrix, or the two CFM4
     exponents (``fock._cfm4_exponents``) of a callable's samples, to
-    vec(rho) by ``fock._taylor_step``: the CSR generator i L is cut into
+    vec(rho) by ``fock._taylor_step``: the banded generator i L is cut into
     ceil(dt ||L||_1) pieces of norm <= 1 and summed to roundoff, so no dense
     exponential is formed.  Each sub-step then restores Hermiticity by
     symmetrisation.  The trajectory's ``trace_drift`` and
@@ -222,16 +261,16 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
 
 
 def _taylor_generator(gen):
-    """i L in CSR and ||L||_1 (its largest column sum): exp(L dt) =
-    exp(-i (i L) dt) is then a ``fock._taylor_step``.  ``gen`` is a dense
-    or sparse matrix; it is not modified."""
-    import scipy.sparse
-
-    op = scipy.sparse.csr_matrix(gen, dtype=complex, copy=True)
-    op.sum_duplicates()
-    op.data *= 1j
-    col_sums = np.bincount(op.indices, np.abs(op.data), op.shape[1])
-    return op, float(col_sums.max())
+    """i L as a ``fock.Bands`` and ||L||_1 (its largest column sum):
+    exp(L dt) = exp(-i (i L) dt) is then a ``fock._taylor_step``.  ``gen``
+    is a ``fock.Bands`` or a dense matrix; it is not modified."""
+    if isinstance(gen, np.ndarray):
+        gen = fock.Bands.from_dense(gen.astype(complex, copy=False))
+    elif not isinstance(gen, fock.Bands):
+        raise TypeError("a Lindbladian must be a fock.Bands, a dense matrix or "
+                        f"a callable returning either, not {type(gen).__name__}")
+    op = 1j * gen
+    return op, op.norm1()
 
 
 # -- dissipative algebra closure ----------------------------------------------
@@ -243,7 +282,8 @@ def superop_polynomial(left, right):
     Matches the column-stacked matrix representation exactly: mode a carries
     the transposed right factor (the outer kron index), mode b the left
     factor, so ``to_matrix`` of the result equals
-    ``left_right_superop(to_matrix(left), to_matrix(right))`` and commutators
+    ``left_right_superop(to_matrix(left), to_matrix(right)).toarray()`` and
+    commutators
     of superoperators map to two-mode polynomial commutators.
     """
     if left.n_modes != 1 or right.n_modes != 1:

@@ -425,14 +425,14 @@ class TestStartup:
         assert out.strip() == "False"
 
     def test_unitary_runs_load_no_scipy(self, tmp_path):
-        # Only the dense replay exponential, multi-band images, the Liouville
-        # superoperators and the quadrature fallback import scipy; a unitary
-        # run at its defaults takes none of them.
+        # Only the dense replay exponential and the quadrature fallback
+        # import scipy; no run at its defaults, open-damped included, takes
+        # either of them.
         src = os.path.dirname(os.path.dirname(wnd.__file__))
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, wnd.cli\n"
-            "for name in wnd.cli.UNITARY_SCENARIOS:\n"
+            "for name in wnd.cli.SCENARIO_RUNNERS:\n"
             f"    out = {str(tmp_path)!r} + '/' + name + '.csv'\n"
             "    assert wnd.cli.main(['run', name, '--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"

@@ -3,7 +3,6 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 from scipy.special import gammaln
 
 from wnd import cli, engine, fock, gaussian, ladder, symplectic
@@ -560,9 +559,97 @@ class TestOracleHamiltonian:
             assert np.max(np.abs(got - want(t))) <= 1e-12
 
 
+def _random_bands(rng, dim, offsets):
+    return fock.Bands(dim, {k: rng.normal(size=dim - abs(k))
+                            + 1j * rng.normal(size=dim - abs(k)) for k in offsets})
+
+
+class TestBands:
+    """The one sparse form: a square operator held as its nonzero
+    diagonals."""
+
+    OFFSETS = [(0,), (3,), (-2, 0, 5), (-6, -1, 1, 2, 6)]
+
+    @pytest.mark.parametrize("offsets", OFFSETS, ids=str)
+    def test_products_match_dense(self, rng, offsets):
+        dim = 7
+        op = _random_bands(rng, dim, offsets)
+        dense = op.toarray()
+        for shape in [(dim,), (dim, 3)]:
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = dense @ x
+            assert np.linalg.norm(op @ x - want) <= 1e-15 * np.linalg.norm(want)
+        w = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        want = w @ dense
+        assert np.linalg.norm(w @ op - want) <= 1e-15 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("offsets", OFFSETS, ids=str)
+    def test_norm1_is_dense_column_sum(self, rng, offsets):
+        op = _random_bands(rng, 7, offsets)
+        assert op.norm1() == np.max(np.sum(np.abs(op.toarray()), axis=0))
+
+    def test_arithmetic_matches_dense(self, rng):
+        a = _random_bands(rng, 6, (-1, 0, 2))
+        b = _random_bands(rng, 6, (0, 2, 4))
+        pairs = [(a + b, a.toarray() + b.toarray()),
+                 (a - b, a.toarray() - b.toarray()),
+                 (-0.5 * a, -0.5 * a.toarray()),
+                 (a * (1 - 2j), a.toarray() * (1 - 2j)),
+                 (np.float64(3.0) * b, 3.0 * b.toarray())]
+        for got, want in pairs:
+            assert isinstance(got, fock.Bands)
+            assert np.array_equal(got.toarray(), want)
+        assert list((a + b).bands) == [-1, 0, 2, 4]
+
+    def test_from_dense_round_trip_on_a_copy(self, rng):
+        mat = np.zeros((5, 5), dtype=complex)
+        mat[0, 3] = 1 + 2j
+        mat[4, 1] = -0.5
+        mat[2, 2] = 3.0
+        kept = mat.copy()
+        op = fock.Bands.from_dense(mat)
+        assert list(op.bands) == [-3, 0, 3]
+        assert np.array_equal(op.toarray(), mat)
+        assert np.array_equal((2j * op).toarray(), 2j * mat)
+        assert np.array_equal(op.toarray(), mat)
+        op.bands[0] *= 7
+        assert np.array_equal(mat, kept)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(ValueError, match="band 2"):
+            fock.Bands(4, {2: np.ones(3)})
+        with pytest.raises(ValueError, match="square"):
+            fock.Bands.from_dense(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="differ"):
+            fock.Bands(3, {0: np.ones(3)}) + fock.Bands(4, {0: np.ones(4)})
+        op = fock.Bands(3, {0: np.ones(3)})
+        for x in (np.ones(1), np.ones((4, 2)), 1.0):
+            with pytest.raises(ValueError, match="cannot act"):
+                op @ x
+        with pytest.raises(ValueError, match="cannot act"):
+            np.ones(4) @ op
+
+    def test_taylor_step_takes_bands(self, rng):
+        op = _random_bands(rng, 8, (-1, 0, 1))
+        psi = rng.normal(size=8) + 1j * rng.normal(size=8)
+        dt = 0.7
+        want = scipy.linalg.expm(-1j * dt * op.toarray()) @ psi
+        for got in (fock._taylor_step(op, dt, psi),
+                    fock._taylor_step(op, dt, psi, op.norm1())):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+    def test_to_matrix_places_image_bands(self):
+        poly = ladder.parse_polynomial("ad*b + a*bd + 0.5*ad*a", n_modes=2)
+        dim, bands = fock._image_bands(poly, (3, 4))
+        dense = fock.to_matrix(poly, (3, 4))
+        for k in range(-dim + 1, dim):
+            want = bands.get(k, np.zeros(dim - abs(k)))
+            assert np.array_equal(np.diagonal(dense, k), want)
+
+
 def _image_dense(image):
     """Dense matrix of a FactorImage: its diagonal or band placed at its
-    offset, or its CSR matrix densified."""
+    offset, or its Bands densified."""
     if image.offset is None:
         return image.data.toarray()
     return np.diag(image.data, image.offset)
@@ -705,7 +792,7 @@ class TestApplyAnsatz:
             assert np.array_equal(_image_dense(image), fock.to_matrix(elem, cutoff))
 
     def test_image_kinds(self):
-        # A diagonal, one band, or a sparse matrix; two-mode images hold
+        # A diagonal, one band, or a Bands of several; two-mode images hold
         # O(dim) numbers, not a dense dim x dim matrix.
         cutoff = (30, 30)
         polys = {text: ladder.parse_polynomial(text, n_modes=2)
@@ -715,7 +802,10 @@ class TestApplyAnsatz:
         assert images["ad*a - bd*b"].offset == 0
         assert images["a*b"].offset == 32  # lowers n_a*31 + n_b by 32
         assert images["ad*b + a*bd"].offset is None
-        assert scipy.sparse.issparse(images["ad*b + a*bd"].data)
+        bands = images["ad*b + a*bd"].data
+        assert isinstance(bands, fock.Bands)
+        assert list(bands.bands) == [-30, 30]
+        assert images["ad*b + a*bd"].norm == bands.norm1()
         for text, image in images.items():
             assert image.shape == (961, 961)
             np.testing.assert_array_equal(_image_dense(image),
@@ -723,25 +813,30 @@ class TestApplyAnsatz:
 
     def test_multiband_factor_by_taylor_pieces(self, monkeypatch):
         # A beam-splitter factor of the two-mode closure has two bands, so
-        # its CSR image goes through the scaled Taylor step: |F| ||M||_1 >= 20
-        # cuts it into at least 20 pieces, and no expm_multiply runs.
-        import scipy.sparse.linalg
+        # its Bands image goes through the scaled Taylor step with the norm
+        # classified once: |F| ||M||_1 >= 20 cuts it into at least 20 pieces.
+        steps = []
+        real_step = fock._taylor_step
 
-        def refuse(*args, **kwargs):
-            raise AssertionError("expm_multiply called")
+        def recorded(op, dt, psi, norm=None):
+            steps.append((op, norm))
+            return real_step(op, dt, psi, norm)
 
-        monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
+        monkeypatch.setattr(fock, "_taylor_step", recorded)
         cutoff = (3, 3)
         basis = ladder.close_algebra(
             [ladder.parse_polynomial("ad*b + a*bd", n_modes=2)])
         image = fock.ansatz_matrices(basis, cutoff)[0]
         assert image.offset is None
+        assert isinstance(image.data, fock.Bands)
         dense = image.data.toarray()
         f = 0.5 - 4.2j  # mostly imaginary: |F|, not Re F, sets the pieces
-        assert abs(f) * np.max(np.sum(np.abs(dense), axis=0)) >= 20
+        assert image.norm == np.max(np.sum(np.abs(dense), axis=0))
+        assert abs(f) * image.norm >= 20
         rng = np.random.default_rng(11)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         got = fock.apply_ansatz([f], [image], psi)
+        assert steps == [(image.data, image.norm)]
         want = scipy.linalg.expm(-1j * f * dense) @ psi
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 

@@ -58,6 +58,47 @@ class TestKronIdentity:
         assert liouville.kron_identity_residual(a, b, a.conj().T) <= 1e-13
 
 
+class TestLeftRightSuperop:
+    """kron(right^T, left) from the nonzero diagonals of the two factors."""
+
+    def test_random_complex_factors(self, rng):
+        for n_left, n_right in [(3, 3), (4, 2), (1, 5)]:
+            left = rng.normal(size=(n_left,) * 2) + 1j * rng.normal(size=(n_left,) * 2)
+            right = rng.normal(size=(n_right,) * 2) + 1j * rng.normal(size=(n_right,) * 2)
+            got = liouville.left_right_superop(left, right)
+            assert isinstance(got, fock.Bands)
+            assert np.array_equal(got.toarray(), np.kron(right.T, left))
+
+    def test_ladder_factors_with_zero_rows(self):
+        # a has a zero last row and a' a zero first row, so their diagonals
+        # stop short and pairs sharing an offset meet at the block edges.
+        cutoff = 6
+        a = fock.destroy(cutoff)
+        mats = [a, a.conj().T, a @ a, fock.x_op(cutoff), np.eye(cutoff + 1),
+                np.zeros((cutoff + 1, cutoff + 1))]
+        for left in mats:
+            for right in mats:
+                got = liouville.left_right_superop(left, right).toarray()
+                assert np.array_equal(got, np.kron(right.T, left))
+
+
+class TestTraceProducts:
+    def test_matches_trace_of_product_loop(self, rng):
+        # The loop it replaced is the reference: sums now run in another
+        # order, so rows agree to a few rounding errors of the result.
+        dim, rows = 9, 5
+        stack_a, stack_b = (rng.normal(size=(rows, dim, dim))
+                            + 1j * rng.normal(size=(rows, dim, dim)) for _ in range(2))
+        op = stack_a[0]
+        cases = [(stack_a, stack_b, [np.trace(a @ b) for a, b in zip(stack_a, stack_b)]),
+                 (op, stack_b, [np.trace(op @ b) for b in stack_b])]
+        for a, b, want in cases:
+            got = liouville.trace_products(a, b)
+            assert got.shape == (rows,)
+            scale = np.max(np.abs(a)) * np.max(np.abs(b)) * dim * dim
+            assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * scale
+
+
 class TestBuildLindbladian:
     def test_closed_system_limit(self):
         # h = 0: pure commutator generator; propagation equals U rho U'.
@@ -110,6 +151,21 @@ class TestBuildLindbladian:
             liouville.build_lindbladian(fock.number_op(3), [fock.destroy(3)],
                                         np.eye(2))
 
+    @pytest.mark.parametrize("h,jump", [
+        (fock.number_op(3), fock.destroy(4)),
+        (fock.number_op(3), np.ones((3, 3))),
+        (np.ones((3, 4)), None),
+    ], ids=["jump-cutoff", "jump-3x3", "h-3x4"])
+    def test_operator_shapes_checked(self, h, jump):
+        # One ValueError naming the shapes, before any band is combined.
+        jumps = [] if jump is None else [jump]
+        with pytest.raises(ValueError) as info:
+            liouville.build_lindbladian(h, jumps)
+        msg = str(info.value)
+        assert str(h.shape) in msg
+        if jump is not None:
+            assert str(jump.shape) in msg
+
 
 # Channel sets (H, jump operators, rates) as ladder polynomials: damping,
 # dephasing, and a 2x2 positive definite rate matrix on the jumps a, a'.
@@ -142,7 +198,7 @@ def test_in_place_build_matches_expression(channels):
             want += rates[n, m] * (sup(l_n, l_m.conj().T) - 0.5 * sup(anti, eye)
                                    - 0.5 * sup(eye, anti))
     got = liouville.build_lindbladian(h, jumps, rates)
-    assert scipy.sparse.issparse(got)
+    assert isinstance(got, fock.Bands)
     assert np.array_equal(got.toarray(), want)
 
 
@@ -413,7 +469,7 @@ def _coherent_density(alpha, cutoff):
 
 class TestTaylorStep:
     """Each step applies exp(L dt) to vec(rho) by the oracle's scaled Taylor
-    series through the CSR generator; no dense exponential is formed."""
+    series through the banded generator; no dense exponential is formed."""
 
     def test_no_dense_exponential(self, monkeypatch):
         calls = []
@@ -517,17 +573,26 @@ def _band_generators():
 
 
 class TestBandedGenerator:
-    """The banded Lindbladian is stepped as i L in CSR, with ||L||_1 from its
-    column sums."""
+    """The banded Lindbladian is stepped as i L in its bands, with ||L||_1
+    from its column sums."""
 
     @pytest.mark.parametrize("case", _band_generators(), ids=lambda c: c[0])
-    def test_band_product_is_csr_product(self, case):
+    def test_band_product_is_csr_product(self, case, rng):
+        # The band product replaced a CSR product of the same matrix; they
+        # agree to roundoff, not bit for bit (numpy may fuse the complex
+        # multiply-add, scipy's CSR kernel does not).
         _, h, jumps, rates = case
         gen = liouville.build_lindbladian(h, jumps, rates)
         op, norm = liouville._taylor_generator(gen)
-        assert op.format == "csr"
+        assert isinstance(op, fock.Bands)
         assert np.array_equal(op.toarray(), 1j * gen.toarray())
         assert norm == np.max(np.sum(np.abs(gen.toarray()), axis=0))
+        csr = scipy.sparse.csr_matrix(op.toarray())
+        dim = op.shape[0]
+        for shape in [(dim,), (dim, 3)]:
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            want = csr @ x
+            assert np.linalg.norm(op @ x - want) <= 1e-15 * np.linalg.norm(want)
 
     def test_dense_and_sparse_generators_agree(self):
         cutoff = 8
@@ -542,24 +607,34 @@ class TestBandedGenerator:
                                             times=times)
         assert np.array_equal(sparse.matrices, dense.matrices)
 
-    def test_repeated_entries_are_summed_on_a_copy(self, rng):
-        # A CSR matrix may list an entry twice in a row; the generator holds
-        # the sum, and the caller's matrix keeps its own layout.
-        data = np.array([1.0, 2.0j, 0.5, -0.25])
-        indices = np.array([1, 1, 0, 2])
-        indptr = np.array([0, 2, 2, 4])
-        gen = scipy.sparse.csr_matrix((data.copy(), indices.copy(), indptr),
-                                      shape=(3, 3))
+    def test_dense_generator_is_read_on_a_copy(self, rng):
+        # A dense generator is taken through its nonzero diagonals; i L is
+        # formed on copies, and the caller's matrix is left as it was.
+        gen = np.array([[0, 1 + 2j, 0], [0, 0, 0], [0.5, 0, -0.25]])
+        kept = gen.copy()
         op, norm = liouville._taylor_generator(gen)
-        assert np.array_equal(gen.indices, indices)
-        assert np.array_equal(gen.data, data)
-        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
-        summed = np.array([[0, 1 + 2j, 0], [0, 0, 0], [0.5, 0, -0.25]])
-        assert np.array_equal(op @ vec, scipy.sparse.csr_matrix(1j * summed) @ vec)
+        assert list(op.bands) == [-2, 0, 1]
+        assert np.array_equal(op.toarray(), 1j * gen)
         assert norm == abs(1 + 2j)
+        vec = rng.normal(size=3) + 1j * rng.normal(size=3)
+        assert np.linalg.norm(op @ vec - 1j * gen @ vec) <= 1e-15 * np.linalg.norm(vec)
+        op.bands[0] *= 3
+        assert np.array_equal(gen, kept)
+
+    @pytest.mark.parametrize("callable_gen", [False, True], ids=["matrix", "callable"])
+    def test_other_generator_forms_rejected(self, callable_gen):
+        # A Bands, a dense matrix or a callable returning either; a scipy
+        # sparse matrix is none of them.
+        cutoff = 4
+        gen = scipy.sparse.csr_matrix(liouville.build_lindbladian(
+            fock.number_op(cutoff), [fock.destroy(cutoff)], [[0.5]]).toarray())
+        rho0 = _coherent_density(0.5, cutoff)
+        generator = (lambda t: gen) if callable_gen else gen
+        with pytest.raises(TypeError, match="fock.Bands, a dense matrix"):
+            liouville.propagate_density(generator, rho0, 1.0, dt=0.01)
 
     def test_large_cutoff_memory(self):
-        # One dense 3721^2 complex generator is 221 MB; the sparse build and
+        # One dense 3721^2 complex generator is 221 MB; the banded build and
         # a one-interval propagation stay far below it.
         cutoff = 60
         rho0 = _coherent_density(1.0, cutoff)
