@@ -20,14 +20,14 @@ checked before the oracle runs.  A run whose fidelity column is off 1 by
 more than 1e-6 on any row exits 3 too, naming the first such row, and
 writes no CSV.
 
-Each unitary scenario is one row of ``UNITARY_SCENARIOS``; the oracle's H(t)
-is derived from the row's engine problem, never written by hand.
-``open-damped`` solves the damped cavity by the decoupling theorem over its
-closed superalgebra (``liouville.lindblad_problem``, at the run's
-rtol/atol), replays the factors on vec(rho0) through the same replay as the
-unitary rows, and checks the result against the Liouville propagation of
-the banded generator, its oracle.  An initial coherent state that leaks at
-the cutoff fails with exit 3 and a suggested cutoff.
+Each scenario is one row of ``SCENARIOS``, and every row runs through one
+pipeline.  A row describes its dynamics once: an engine problem for a state
+run, or the (H, jumps, rates) polynomials of ``open-damped``, a density run
+solved over its closed superalgebra (``liouville.lindblad_problem``).  The
+oracle is derived from the same description, never written by hand: the
+Fock H(t) of the problem, or the banded Lindbladian of the polynomials.  An
+initial coherent state that leaks at the cutoff fails with exit 3 and a
+suggested cutoff.
 
 CSV columns are drawn from ``t, ReF0, ReF+, ImF+, ReF-, ImF-, X, P,
 fidelity, detXi`` as applicable per scenario; values are written with 17
@@ -55,22 +55,50 @@ class ConfigError(Exception):
     pass
 
 
-# A value given as text parses to the type of its key's default.
-SCENARIO_DEFAULTS = {
-    "linear-constant": {"g0": 0.5, "alpha": 1 + 0j, "T": 2 * TWO_PI,
-                        "n_out": 201, "cutoff": 40},
-    "linear-resonant": {"g0": 0.2, "phi": 0.0, "alpha": 1 + 0j, "T": 4 * TWO_PI,
-                        "n_out": 401, "cutoff": 40},
-    "quadratic-constant": {"lp": 0.2, "lm": 0.2, "alpha": 1 + 0j, "T": 2.0,
-                           "n_out": 201, "cutoff": 80},
-    "quadratic-parametric": {"l0": 0.1, "freq": 2.0, "alpha": 0j, "T": 6.0,
-                             "n_out": 201, "cutoff": 60},
-    "gaussian-combined": {"g0": 0.1, "lp": 0.1, "lm": 0.1, "alpha": 1 + 0j,
-                          "T": 3.0, "n_out": 201, "cutoff": 60},
-    "open-damped": {"kappa": 0.5, "alpha": 1 + 0j, "T": 5.0,
-                    "n_out": 101, "cutoff": 30},
+# One row per scenario: its defaults (a value given as text parses to the
+# type of its key's default); its one description of the dynamics, built
+# from the parameters: the engine problem of a state run, from which
+# fock.oracle_hamiltonian derives the oracle's H(t), or the (H, jumps,
+# rates) ladder polynomials of a density run; the rows of the coefficient
+# trajectory written as F0, F+ and F- (none for a density run, which writes
+# no F or detXi column); and whether X/P are the closed-form linear-drive
+# means (gaussian.quadrature_expectation of the decoupled F+-) rather than
+# means over the oracle rows.
+SCENARIOS = {
+    "linear-constant": (
+        {"g0": 0.5, "alpha": 1 + 0j, "T": 2 * TWO_PI, "n_out": 201, "cutoff": 40},
+        lambda p: gaussian.linear_problem(g := Constant(p["g0"]), g, p["T"]),
+        (0, 1, 2), True),
+    "linear-resonant": (
+        {"g0": 0.2, "phi": 0.0, "alpha": 1 + 0j, "T": 4 * TWO_PI,
+         "n_out": 401, "cutoff": 40},
+        lambda p: gaussian.linear_problem(
+            g := Sinusoid(p["g0"], 1.0, p["phi"]), g, p["T"]),
+        (0, 1, 2), True),
+    "quadratic-constant": (
+        {"lp": 0.2, "lm": 0.2, "alpha": 1 + 0j, "T": 2.0, "n_out": 201, "cutoff": 80},
+        lambda p: gaussian.quadratic_problem(
+            Constant(p["lp"]), Constant(p["lm"]), p["T"]),
+        (1, 0, 2), False),
+    "quadratic-parametric": (
+        {"l0": 0.1, "freq": 2.0, "alpha": 0j, "T": 6.0, "n_out": 201, "cutoff": 60},
+        lambda p: gaussian.quadratic_problem(
+            lam := Sinusoid(p["l0"], p["freq"]), lam, p["T"]),
+        (1, 0, 2), False),
+    "gaussian-combined": (
+        {"g0": 0.1, "lp": 0.1, "lm": 0.1, "alpha": 1 + 0j, "T": 3.0,
+         "n_out": 201, "cutoff": 60},
+        lambda p: gaussian.combined_problem(
+            g := Constant(p["g0"]), g, Constant(p["lp"]), Constant(p["lm"]),
+            p["T"]),
+        (1, 3, 4), False),
+    # The damped cavity: H = N, jump a at rate kappa.
+    "open-damped": (
+        {"kappa": 0.5, "alpha": 1 + 0j, "T": 5.0, "n_out": 101, "cutoff": 30},
+        lambda p: (ladder.number(), [ladder.annihilation()], [[p["kappa"]]]),
+        (), False),
 }
-
+SCENARIO_DEFAULTS = {name: row[0] for name, row in SCENARIOS.items()}
 
 def _parse_value(key, text, kind):
     """``text`` as a value of ``kind``, the type of the key's default."""
@@ -199,129 +227,97 @@ def _ansatz_states(raw_traj, cutoff, psi0):
     return states
 
 
-# One row per unitary scenario: the engine problem built from the
-# parameters; the rows of the coefficient trajectory written as F0, F+ and
-# F-; and whether X/P are the closed-form linear-drive means
-# (gaussian.quadrature_expectation of the decoupled F+-) rather than means
-# over the oracle states.  The oracle's H(t) is derived from the same
-# problem by fock.oracle_hamiltonian.
-UNITARY_SCENARIOS = {
-    "linear-constant": (
-        lambda p: gaussian.linear_problem(g := Constant(p["g0"]), g, p["T"]),
-        (0, 1, 2), True),
-    "linear-resonant": (
-        lambda p: gaussian.linear_problem(
-            g := Sinusoid(p["g0"], 1.0, p["phi"]), g, p["T"]),
-        (0, 1, 2), True),
-    "quadratic-constant": (
-        lambda p: gaussian.quadratic_problem(
-            Constant(p["lp"]), Constant(p["lm"]), p["T"]),
-        (1, 0, 2), False),
-    "quadratic-parametric": (
-        lambda p: gaussian.quadratic_problem(
-            lam := Sinusoid(p["l0"], p["freq"]), lam, p["T"]),
-        (1, 0, 2), False),
-    "gaussian-combined": (
-        lambda p: gaussian.combined_problem(
-            g := Constant(p["g0"]), g, Constant(p["lp"]), Constant(p["lm"]),
-            p["T"]),
-        (1, 3, 4), False),
-}
+# Readers of run rows: each picks its branch from the shape of ``rows``,
+# state vectors (rows, levels) or density matrices (rows, levels, levels).
 
 
-def _unitary_scenario(scenario, params):
-    build, f_rows, closed_form = UNITARY_SCENARIOS[scenario]
-    cutoff = params["cutoff"]
-    alpha = params["alpha"]
-    times = np.linspace(0.0, params["T"], params["n_out"])
-    problem = build(params)
-    traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
-                            times=times)
-    f0, f_plus, f_minus = (traj.values[i] for i in f_rows)
-
-    psi0 = fock.coherent_state(alpha, cutoff)
-    # A run whose ansatz leaks fails without paying for the oracle.
-    ansatz = _ansatz_states(traj, cutoff, psi0)
-    fock.check_leakage("ansatz state", times, np.abs(ansatz) ** 2)
-    oracle = _oracle_states(fock.oracle_hamiltonian(problem, cutoff), psi0,
-                            times)
-    fock.check_leakage("oracle state", times, np.abs(oracle) ** 2)
-    fid = np.array([fock.fidelity(a, o) for a, o in zip(ansatz, oracle)])
-    if closed_form:
-        x, p = gaussian.quadrature_expectation(alpha, gaussian.LinearDriveCoefficients(
-            times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
-    else:
-        x_mat, p_mat = fock.x_op(cutoff), fock.p_op(cutoff)
-        x = np.array([fock.expectation(x_mat, s).real for s in oracle])
-        p = np.array([fock.expectation(p_mat, s).real for s in oracle])
-    columns = {
-        "t": times,
-        "ReF0": f0.real,
-        "ReF+": f_plus.real,
-        "ImF+": f_plus.imag,
-        "ReF-": f_minus.real,
-        "ImF-": f_minus.imag,
-        "X": x,
-        "P": p,
-        "fidelity": fid,
-        "detXi": traj.det_ratio,
-    }
-    return columns, float(np.min(fid))
+def _populations(rows):
+    """|psi|^2 of each state row, or the diagonal of each density row."""
+    if rows.ndim == 2:
+        return np.abs(rows) ** 2
+    return np.diagonal(rows, axis1=1, axis2=2).real
 
 
-def run_open_damped(params):
-    """Damped cavity (H = N, jump a at rate kappa).
+def _fidelity(rows, oracle):
+    """|<psi|phi>|^2 per row of states, or the normalised Hilbert-Schmidt
+    overlap per row of densities."""
+    if rows.ndim == 2:
+        return np.array([fock.fidelity(a, o) for a, o in zip(rows, oracle)])
+    tr = liouville.trace_products
+    return np.abs(tr(oracle, rows)) / np.maximum(
+        np.sqrt(np.abs(tr(oracle, oracle) * tr(rows, rows))), 1e-300)
 
-    The oracle is the Liouville propagation of the banded generator built
-    from the ``fock.to_matrix`` images of the same H and jump that define the
-    decoupling problem; the decoupled solution comes from
-    ``liouville.lindblad_problem`` over the closed superalgebra, integrated
-    at the run's rtol/atol and replayed on vec(rho0) with two-mode cutoff
-    (cutoff, cutoff).  The diagonals of both row sets are checked for
-    leakage, the replayed ones before the oracle runs.  ``fidelity`` is the
-    normalised Hilbert-Schmidt overlap of the two; X and P are oracle means.
-    """
-    cutoff = params["cutoff"]
-    kappa = params["kappa"]
-    T = params["T"]
+
+def _means(op, rows):
+    """The real part of <op> per state or density row."""
+    if rows.ndim == 2:
+        return np.array([fock.expectation(op, s).real for s in rows])
+    return liouville.trace_products(op, rows).real
+
+
+def _run(scenario, params):
+    """The columns and minimum fidelity of one SCENARIOS row: grid,
+    engine.integrate, replay, its leakage, oracle, its leakage, fidelity,
+    X/P.  Only the start of the replay and the oracle depend on whether the
+    row describes a state run or a density run."""
+    _, describe, f_rows, closed_form = SCENARIOS[scenario]
+    cutoff, T = params["cutoff"], params["T"]
     times = np.linspace(0.0, T, params["n_out"])
     psi0 = fock.coherent_state(params["alpha"], cutoff)
-    rho0 = np.outer(psi0, psi0.conj())
+    dynamics = describe(params)
+    if isinstance(dynamics, engine.DecouplingProblem):
+        # Replay psi0 at ``cutoff``; the oracle's H(t) comes from the problem.
+        problem, x0, start, modes = dynamics, psi0, psi0, cutoff
+        what = ("ansatz state", "oracle state")
 
-    # One description of the cavity feeds both the engine and the oracle.
-    hamiltonian, jumps, rates = ladder.number(), [ladder.annihilation()], [[kappa]]
-    problem = liouville.lindblad_problem(hamiltonian, jumps, rates, T)
+        def oracle():
+            return _oracle_states(fock.oracle_hamiltonian(problem, cutoff),
+                                  psi0, times)
+    else:
+        # Replay vec(rho0) with two-mode cutoff (cutoff, cutoff); the oracle
+        # is built from the fock.to_matrix images of the same polynomials.
+        hamiltonian, jumps, rates = dynamics
+        problem = liouville.lindblad_problem(hamiltonian, jumps, rates, T)
+        x0 = np.outer(psi0, psi0.conj())
+        start, modes = liouville.vectorize(x0), (cutoff, cutoff)
+        what = ("replayed density", "oracle density")
+
+        def oracle():
+            gen = liouville.build_lindbladian(
+                fock.to_matrix(hamiltonian, cutoff),
+                [fock.to_matrix(jump, cutoff) for jump in jumps], rates)
+            return liouville.propagate_density(gen, x0, T, times=times).matrices
+
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
-    replay = _ansatz_states(traj, (cutoff, cutoff), liouville.vectorize(rho0))
-    # rho_nn sits at index n (cutoff + 2) of vec(rho).
-    fock.check_leakage("replayed density", times, replay[:, ::cutoff + 2].real)
+    # A replayed row of a density run is vec(rho_n), which read in C order
+    # is rho_n transposed; the swap makes it rho_n, as a view of the replay.
+    # A state row is left as it is.
+    replay = _ansatz_states(traj, modes, start).reshape(
+        len(times), *x0.shape).swapaxes(1, -1)
+    # A run whose replay leaks fails without paying for the oracle.
+    fock.check_leakage(what[0], times, _populations(replay))
+    rows = oracle()
+    fock.check_leakage(what[1], times, _populations(rows))
+    fid = _fidelity(replay, rows)
 
-    gen = liouville.build_lindbladian(
-        fock.to_matrix(hamiltonian, cutoff),
-        [fock.to_matrix(jump, cutoff) for jump in jumps], rates)
-    oracle = liouville.propagate_density(gen, rho0, T, times=times)
-    fock.check_leakage("oracle density", times,
-                       np.diagonal(oracle.matrices, axis1=1, axis2=2).real)
-
-    # Normalised Hilbert-Schmidt overlap of the oracle and replayed rows;
-    # row n of ``replay`` reshaped in C order is rho_n transposed.
-    r1 = oracle.matrices
-    r2 = replay.reshape(r1.shape).transpose(0, 2, 1)
-    tr = liouville.trace_products
-    fid = np.abs(tr(r1, r2)) / np.maximum(
-        np.sqrt(np.abs(tr(r1, r1) * tr(r2, r2))), 1e-300)
-    x = oracle.expectation(fock.x_op(cutoff)).real
-    p = oracle.expectation(fock.p_op(cutoff)).real
-    columns = {"t": times, "X": x, "P": p, "fidelity": fid}
+    columns = {"t": times}
+    if f_rows:
+        f0, f_plus, f_minus = (traj.values[i] for i in f_rows)
+        columns.update({"ReF0": f0.real, "ReF+": f_plus.real, "ImF+": f_plus.imag,
+                        "ReF-": f_minus.real, "ImF-": f_minus.imag})
+    if closed_form:
+        x, p = gaussian.quadrature_expectation(params["alpha"], gaussian.LinearDriveCoefficients(
+            times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
+    else:
+        x, p = (_means(op(cutoff), rows) for op in (fock.x_op, fock.p_op))
+    columns.update({"X": x, "P": p, "fidelity": fid})
+    if f_rows:
+        columns["detXi"] = traj.det_ratio
     return columns, float(np.min(fid))
 
 
-SCENARIO_RUNNERS = {
-    **{name: functools.partial(_unitary_scenario, name)
-       for name in UNITARY_SCENARIOS},
-    "open-damped": run_open_damped,
-}
+SCENARIO_RUNNERS = {name: functools.partial(_run, name) for name in SCENARIOS}
 
 
 # -- output -------------------------------------------------------------------

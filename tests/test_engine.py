@@ -280,7 +280,7 @@ class TestIntegrate:
         from wnd import cli
 
         params = dict(cli.SCENARIO_DEFAULTS["quadratic-constant"])
-        problem = cli.UNITARY_SCENARIOS["quadratic-constant"][0](params)
+        problem = cli.SCENARIOS["quadratic-constant"][1](params)
         times = np.linspace(0.0, params["T"], 401)
         traj = integrate(problem, times=times)
         assert traj.accepted < len(times)

@@ -548,7 +548,7 @@ class TestOracleHamiltonian:
         assignments = [] if draw is None else self._draw(scenario, draw)
         params = cli.resolve_params(scenario, assignments=assignments)
         cutoff = params["cutoff"]
-        build = cli.UNITARY_SCENARIOS[scenario][0]
+        build = cli.SCENARIOS[scenario][1]
         derived = fock.oracle_hamiltonian(build(params), cutoff)
         g, lam = self.DRIVES[scenario](params)
         want = _driven_hamiltonian(cutoff, g, lam)
