@@ -11,12 +11,13 @@ Usage:
 one-line summary with the minimum fidelity.  Parameter precedence: scenario
 defaults < config file (flat ``key = value`` lines) < inline key=value
 arguments < explicit flags.  The default output directory is taken from the
-WND_OUT_DIR environment variable.  Exit codes: 0 success, 2 configuration
-error, 3 solver failure (the failure time is printed when available),
-including leakage (``fock.check_leakage``): a row, of ``open-damped`` too,
-where a mode keeps more than 1e-8 of the population (|psi|^2 or diag rho)
-in its top two Fock levels, or with none left.  The decoupled rows are
-checked before the oracle runs.  A run whose fidelity column is off 1 by
+WND_OUT_DIR environment variable; an output path that cannot take the CSV
+is a configuration error, found before the run.  Exit codes: 0 success, 2
+configuration error, 3 solver failure (the failure time is printed when
+available), including leakage (``fock.check_leakage``): a row, of
+``open-damped`` too, where a mode keeps more than 1e-8 of the population
+(|psi|^2 or diag rho) in its top two Fock levels, or with none left.  The
+decoupled rows are checked before the oracle runs.  A run whose fidelity column is off 1 by
 more than 1e-6 on any row exits 3 too, naming the first such row, and
 writes no CSV.
 
@@ -53,6 +54,12 @@ TWO_PI = 2.0 * np.pi
 
 class ConfigError(Exception):
     pass
+
+
+# Largest output grid a run accepts, 250 times the largest default (401).
+# Each row holds a replayed and an oracle state, so a grid without a bound
+# ends in a numpy out-of-memory traceback instead of a configuration error.
+MAX_ROWS = 100_001
 
 
 # One row per scenario: its defaults (a value given as text parses to the
@@ -110,16 +117,21 @@ def _parse_value(key, text, kind):
 
 def load_config_file(path):
     """Flat ``key = value`` lines; blank lines and #-comments ignored."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                          f"{exc.start})") from exc
     entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, _, value = stripped.partition("=")
-            entries[key.strip()] = value.strip()
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, _, value = stripped.partition("=")
+        entries[key.strip()] = value.strip()
     return entries
 
 
@@ -130,10 +142,11 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     ``dt_out`` (the ``--dt-out`` flag) replaces ``n_out`` by the number of
     grid points at that spacing.  Raises ConfigError for unknown keys,
     unparsable or non-finite values, a non-positive span or ``dt_out``, a
-    cutoff outside [2, fock.MAX_CUTOFF], a grid below two points, a negative
-    ``rtol``/``atol`` or both zero, a negative damping rate ``kappa``, and
-    a squeezing pair with ``lm != conj(lp)`` (the Hamiltonian would not be
-    Hermitian).
+    cutoff outside [2, fock.MAX_CUTOFF], a grid below two points or above
+    ``MAX_ROWS`` (100001) points, whether set by ``n_out`` or ``dt_out``, a
+    negative ``rtol``/``atol`` or both zero, a negative damping rate
+    ``kappa``, and a squeezing pair with ``lm != conj(lp)`` (the Hamiltonian
+    would not be Hermitian).
     """
     if scenario not in SCENARIO_DEFAULTS:
         known = ", ".join(sorted(SCENARIO_DEFAULTS))
@@ -165,19 +178,26 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
             apply(key, value)
 
     for key, value in params.items():
-        if isinstance(value, (int, float)) and not np.isfinite(value):
+        if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"parameter {key} is not finite")
         if isinstance(value, complex) and not np.isfinite(value.real + value.imag):
             raise ConfigError(f"parameter {key} is not finite")
     if params["T"] <= 0:
         raise ConfigError("span T must be positive")
     if dt_out is not None:
-        if dt_out <= 0:
+        if not dt_out > 0:
             raise ConfigError("--dt-out must be positive")
-        params["n_out"] = int(round(params["T"] / dt_out)) + 1
+        steps = params["T"] / dt_out
+        if not steps < MAX_ROWS:  # an infinite count cannot be rounded
+            raise ConfigError(f"--dt-out {dt_out:g} on T={params['T']:g} makes "
+                              f"over {MAX_ROWS} output rows (cli.MAX_ROWS)")
+        params["n_out"] = int(round(steps)) + 1
     if params["n_out"] < 2:
         raise ConfigError(f"n_out={params['n_out']}: the output grid needs at "
                           "least two points")
+    if params["n_out"] > MAX_ROWS:
+        raise ConfigError(f"n_out={params['n_out']}: the output grid has at "
+                          f"most {MAX_ROWS} points (cli.MAX_ROWS)")
     if not 2 <= params["cutoff"] <= fock.MAX_CUTOFF:
         raise ConfigError(f"cutoff={params['cutoff']}: must be between 2 and "
                           f"{fock.MAX_CUTOFF} (fock.MAX_CUTOFF)")
@@ -359,13 +379,32 @@ def _check_fidelity(columns):
         )
 
 
-def run_scenario(scenario, params, out_path=None):
-    columns, min_fidelity = SCENARIO_RUNNERS[scenario](params)
-    _check_fidelity(columns)
+def _output_path(scenario, out_path=None):
+    """``out_path``, or ``<scenario>.csv`` in WND_OUT_DIR (made if missing).
+
+    Raises ConfigError when WND_OUT_DIR cannot be made, or the path is a
+    directory or lies in none, so a run that could not write its CSV fails
+    before it is paid for.
+    """
     if out_path is None:
         out_dir = os.environ.get("WND_OUT_DIR", ".")
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: "
+                              f"{exc.strerror}") from exc
         out_path = os.path.join(out_dir, f"{scenario}.csv")
+    if os.path.isdir(out_path) or not os.path.isdir(
+            os.path.dirname(out_path) or "."):
+        raise ConfigError(f"output path {out_path} is not a file in an "
+                          "existing directory")
+    return out_path
+
+
+def run_scenario(scenario, params, out_path=None):
+    out_path = _output_path(scenario, out_path)
+    columns, min_fidelity = SCENARIO_RUNNERS[scenario](params)
+    _check_fidelity(columns)
     write_csv(columns, out_path)
     return out_path, min_fidelity
 
@@ -466,12 +505,11 @@ def main(argv=None):
             assignments=args.assignments, overrides=overrides,
             dt_out=args.dt_out,
         )
+        out_path, min_fidelity = run_scenario(args.scenario, params, args.out)
+    # OSError: a config file or CSV path that cannot be read or written.
     except (ConfigError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    try:
-        out_path, min_fidelity = run_scenario(args.scenario, params, args.out)
     except WndError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3

@@ -50,6 +50,37 @@ class TestConfigResolution:
         params = cli.resolve_params("linear-constant", assignments=["alpha=0.5+0.5j"])
         assert params["alpha"] == 0.5 + 0.5j
 
+    def test_row_bound_is_inclusive(self):
+        params = cli.resolve_params("linear-constant",
+                                    assignments=[f"n_out={cli.MAX_ROWS}"])
+        assert params["n_out"] == cli.MAX_ROWS
+        params = cli.resolve_params("linear-constant", assignments=["T=1"],
+                                    dt_out=1 / (cli.MAX_ROWS - 1))
+        assert params["n_out"] == cli.MAX_ROWS
+
+    def test_non_utf8_config_is_one_line_exit_2(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# r\xe9glage\ng0 = 0.7\n".encode("latin-1"))
+        with pytest.raises(cli.ConfigError, match="not UTF-8"):
+            cli.resolve_params("linear-constant", config_path=str(cfg))
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "linear-constant", "--config", str(cfg),
+                        "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+
+# Small grids on which every scenario runs in well under a second.
+CHEAP_RUNS = {
+    "linear-constant": CHEAP_LINEAR,
+    "linear-resonant": ["T=3.0", "n_out=7", "cutoff=24"],
+    "quadratic-constant": ["T=1.0", "n_out=5", "cutoff=32"],
+    "quadratic-parametric": ["T=1.5", "n_out=5", "cutoff=24"],
+    "gaussian-combined": ["T=1.0", "n_out=5", "cutoff=24"],
+    "open-damped": ["T=2.0", "n_out=5", "cutoff=16"],
+}
+
 
 class TestRunCommand:
     def test_linear_constant_csv(self, tmp_path, capsys):
@@ -118,6 +149,52 @@ class TestRunCommand:
         assert run_cli(["run", *argv, "--out", str(out)]) == 2
         assert "configuration error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["n_out=100002"],
+        ["n_out=1000000000000"],
+        ["n_out=1" + "0" * 400],
+        ["--dt-out", "1e-12"],
+        ["--dt-out", "1e-320"],
+    ], ids=["n-out-past-bound", "n-out-1e12", "n-out-huge-int", "dt-out-1e-12",
+            "dt-out-infinite-count"])
+    def test_row_bound_exit_code(self, argv, tmp_path, capsys):
+        # Past cli.MAX_ROWS the grid would end in numpy's out-of-memory
+        # traceback; an integer past int64 or a count that overflows to inf
+        # must not escape as one either.
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", "linear-constant", *argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert str(cli.MAX_ROWS) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "out-is-dir",
+                                       "env-is-file", "env-under-file"])
+    def test_output_path_errors_exit_2_before_the_engine(
+            self, where, tmp_path, capsys, monkeypatch):
+        # A CSV that could not be written fails before the run is paid for.
+        calls = []
+        real = engine.integrate
+        monkeypatch.setattr(engine, "integrate",
+                            lambda *a, **k: calls.append(k) or real(*a, **k))
+        regular = tmp_path / "regular"
+        regular.write_text("")
+        argv = ["run", "linear-constant", *CHEAP_LINEAR]
+        if where == "missing-dir":
+            argv += ["--out", str(tmp_path / "missing" / "x.csv")]
+        elif where == "out-is-dir":
+            argv += ["--out", str(tmp_path)]
+        else:
+            env = regular if where == "env-is-file" else regular / "sub"
+            monkeypatch.setenv("WND_OUT_DIR", str(env))
+        before = sorted(tmp_path.rglob("*"))
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and err.count("\n") == 1
+        assert calls == []
+        assert sorted(tmp_path.rglob("*")) == before
+        assert regular.read_text() == ""
 
     def test_solver_error_exit_code(self, tmp_path, capsys):
         # Strong constant squeezing makes the transfer matrix singular
@@ -273,6 +350,37 @@ class TestRunCommand:
         assert err.startswith("solver error: replayed density")
         assert err.count("\n") == 1
         assert "top two levels" in err and "t=1.5;" in err
+        assert calls == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("scenario", sorted(cli.SCENARIOS))
+    def test_replay_leak_stops_before_either_oracle(self, scenario, tmp_path,
+                                                    capsys, monkeypatch):
+        # One pipeline checks the replayed rows of every scenario, state or
+        # density, before its oracle starts.  1e-3 on the top level of row 2
+        # is a population share of at least 1e-6 for a state and 1e-3 for a
+        # density, well past fock.LEAKAGE_TOL.
+        calls = []
+        for module, name in ((fock, "propagate_state"),
+                             (liouville, "propagate_density")):
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, real=real, **k:
+                                calls.append(a) or real(*a, **k))
+        real_replay = cli._ansatz_states
+
+        def leaky(*args):
+            rows = real_replay(*args)
+            rows[2, -1] += 1e-3
+            return rows
+
+        monkeypatch.setattr(cli, "_ansatz_states", leaky)
+        out = tmp_path / "never.csv"
+        assert run_cli(["run", scenario, *CHEAP_RUNS[scenario],
+                        "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert ("ansatz state" in err) != ("replayed density" in err)
+        assert "top two levels" in err
         assert calls == []
         assert not out.exists()
 
