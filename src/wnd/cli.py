@@ -17,9 +17,9 @@ configuration error, 3 solver failure (the failure time is printed when
 available), including leakage (``fock.check_leakage``): a row, of
 ``open-damped`` too, where a mode keeps more than 1e-8 of the population
 (|psi|^2 or diag rho) in its top two Fock levels, or with none left.  The
-decoupled rows are checked before the oracle runs.  A run whose fidelity column is off 1 by
-more than 1e-6 on any row exits 3 too, naming the first such row, and
-writes no CSV.
+decoupled rows are checked before the oracle runs.  A run whose fidelity
+column is off 1 by more than 1e-6 on any row exits 3 too, naming the first
+such row, and writes no CSV.
 
 Each scenario is one row of ``SCENARIOS``, and every row runs through one
 pipeline.  A row describes its dynamics once: an engine problem for a state
@@ -106,6 +106,7 @@ SCENARIOS = {
         (), False),
 }
 SCENARIO_DEFAULTS = {name: row[0] for name, row in SCENARIOS.items()}
+
 
 def _parse_value(key, text, kind):
     """``text`` as a value of ``kind``, the type of the key's default."""
@@ -327,8 +328,9 @@ def _run(scenario, params):
         columns.update({"ReF0": f0.real, "ReF+": f_plus.real, "ImF+": f_plus.imag,
                         "ReF-": f_minus.real, "ImF-": f_minus.imag})
     if closed_form:
-        x, p = gaussian.quadrature_expectation(params["alpha"], gaussian.LinearDriveCoefficients(
-            times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
+        x, p = gaussian.quadrature_expectation(
+            params["alpha"], gaussian.LinearDriveCoefficients(
+                times=times, f0=times, f_plus=f_plus, f_minus=f_minus))
     else:
         x, p = (_means(op(cutoff), rows) for op in (fock.x_op, fock.p_op))
     columns.update({"X": x, "P": p, "fidelity": fid})
