@@ -39,7 +39,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 
@@ -60,6 +59,12 @@ class ConfigError(Exception):
 # Each row holds a replayed and an oracle state, so a grid without a bound
 # ends in a numpy out-of-memory traceback instead of a configuration error.
 MAX_ROWS = 100_001
+# Largest n_out x row length a run accepts: a state row holds cutoff+1
+# amplitudes, a density row (cutoff+1)^2 entries.  2**26 complex numbers
+# are 1 GiB per array; every state run within MAX_ROWS and fock.MAX_CUTOFF
+# stays below it (513 x 100001 < 2**26), and so does open-damped at its
+# default n_out, at any cutoff.
+MAX_ROW_ELEMENTS = 2 ** 26
 
 
 # One row per scenario: its defaults (a value given as text parses to the
@@ -105,7 +110,6 @@ SCENARIOS = {
         lambda p: (ladder.number(), [ladder.annihilation()], [[p["kappa"]]]),
         (), False),
 }
-SCENARIO_DEFAULTS = {name: row[0] for name, row in SCENARIOS.items()}
 
 
 def _parse_value(key, text, kind):
@@ -144,15 +148,17 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     grid points at that spacing.  Raises ConfigError for unknown keys,
     unparsable or non-finite values, a non-positive span or ``dt_out``, a
     cutoff outside [2, fock.MAX_CUTOFF], a grid below two points or above
-    ``MAX_ROWS`` (100001) points, whether set by ``n_out`` or ``dt_out``, a
-    negative ``rtol``/``atol`` or both zero, a negative damping rate
+    ``MAX_ROWS`` (100001) points, whether set by ``n_out`` or ``dt_out``,
+    more than ``MAX_ROW_ELEMENTS`` (2**26) numbers in all the rows of a
+    run, a negative ``rtol``/``atol`` or both zero, a negative damping rate
     ``kappa``, and a squeezing pair with ``lm != conj(lp)`` (the Hamiltonian
     would not be Hermitian).
     """
-    if scenario not in SCENARIO_DEFAULTS:
-        known = ", ".join(sorted(SCENARIO_DEFAULTS))
+    if scenario not in SCENARIOS:
+        known = ", ".join(sorted(SCENARIOS))
         raise ConfigError(f"unknown scenario {scenario!r}; known: {known}")
-    defaults = dict(SCENARIO_DEFAULTS[scenario])
+    defaults, _, f_rows, _ = SCENARIOS[scenario]
+    defaults = dict(defaults)
     defaults.setdefault("rtol", engine.RTOL)
     defaults.setdefault("atol", engine.ATOL)
     params = dict(defaults)
@@ -202,6 +208,13 @@ def resolve_params(scenario, config_path=None, assignments=(), overrides=None,
     if not 2 <= params["cutoff"] <= fock.MAX_CUTOFF:
         raise ConfigError(f"cutoff={params['cutoff']}: must be between 2 and "
                           f"{fock.MAX_CUTOFF} (fock.MAX_CUTOFF)")
+    # A density run is the row that writes no F columns.
+    row_length = (params["cutoff"] + 1) ** (1 if f_rows else 2)
+    if params["n_out"] * row_length > MAX_ROW_ELEMENTS:
+        raise ConfigError(
+            f"n_out={params['n_out']} rows of {row_length} numbers make "
+            f"{params['n_out'] * row_length}, over {MAX_ROW_ELEMENTS} "
+            "(cli.MAX_ROW_ELEMENTS)")
     if params["rtol"] < 0 or params["atol"] < 0:
         raise ConfigError("rtol and atol must be non-negative")
     if params["rtol"] == 0 and params["atol"] == 0:
@@ -339,9 +352,6 @@ def _run(scenario, params):
     return columns, float(np.min(fid))
 
 
-SCENARIO_RUNNERS = {name: functools.partial(_run, name) for name in SCENARIOS}
-
-
 # -- output -------------------------------------------------------------------
 
 
@@ -405,7 +415,7 @@ def _output_path(scenario, out_path=None):
 
 def run_scenario(scenario, params, out_path=None):
     out_path = _output_path(scenario, out_path)
-    columns, min_fidelity = SCENARIO_RUNNERS[scenario](params)
+    columns, min_fidelity = _run(scenario, params)
     _check_fidelity(columns)
     write_csv(columns, out_path)
     return out_path, min_fidelity
@@ -483,9 +493,9 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
 
     if args.command == "list":
-        for name in sorted(SCENARIO_DEFAULTS):
+        for name in sorted(SCENARIOS):
             defaults = ", ".join(
-                f"{k}={v}" for k, v in sorted(SCENARIO_DEFAULTS[name].items())
+                f"{k}={v}" for k, v in sorted(SCENARIOS[name][0].items())
             )
             print(f"{name}: {defaults}")
         return 0

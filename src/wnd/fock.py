@@ -31,22 +31,23 @@ for a dense matrix.
 The ordered exponential prod_j exp(-i F_j M_j) is replayed by
 :func:`apply_ansatz` factor by factor on a state vector, or on a block of
 column states (the identity, for the operator itself), so no dense
-exponential is formed.  :func:`ansatz_matrices` classifies each generator
-image once, as a :class:`FactorImage` (a diagonal, one band, or several
-bands), so a replay of many rows does not inspect its factors again and a
-two-mode image is never dense.  Diagonal factors multiply elementwise; a
-generator whose nonzeros lie on one off-diagonal (the image of every ladder
-monomial ad^p a^q with p != q, in one or two modes) is nilpotent, so its
-exponential is the terminating Taylor series, summed in full with
-elementwise products; any other generator goes through :func:`_taylor_step`
-as a :class:`Bands`.
+exponential is formed.  :func:`ansatz_matrices` builds each generator
+image once, as a :class:`Bands` without its all-zero bands, so a replay of
+many rows does not build its factors again and a two-mode image is never
+dense.  The replay picks each factor's action from its bands: one band at
+offset 0 (a diagonal) multiplies elementwise; one band at another offset
+(the image of every ladder monomial ad^p a^q with p != q, in one or two
+modes) is nilpotent, so its exponential is the terminating Taylor series,
+summed in full with elementwise products; any other image goes through
+:func:`_taylor_step`.
 
-:class:`Bands` (defined in ``wnd.bands``) is the package's one sparse
-form: a square operator held as its nonzero diagonals, the form
-:func:`_image_bands` builds.  It carries the replay's multi-band factors
-and the Liouville generator of ``liouville``, and :func:`to_matrix` is its
-dense matrix, so the bands are placed into a dense matrix in one place
-only.
+:class:`Bands` (defined in ``wnd.bands``) is the package's one banded
+form: a square operator held as its nonzero diagonals.  Every Fock image is
+one, built by :func:`_image_bands` (a two-mode monomial as the
+``Bands.kron`` of its per-mode bands), and so is the Liouville generator of
+``liouville``, built by the same ``Bands.kron``; :func:`to_matrix` is an
+image's dense matrix, so the bands are placed into a dense matrix in one
+place only.
 
 Truncation policy: a degree-d polynomial corrupts the top ~d levels of its
 matrix image, and products of exponential factors push the corruption lower,
@@ -94,19 +95,19 @@ def p_op(cutoff):
 
 
 def _image_bands(poly, cutoff):
-    """Fock image of a normal-ordered polynomial as (dim, {offset: band}).
+    """Fock image of a normal-ordered polynomial as a :class:`Bands`.
 
-    ``band`` is ``np.diagonal(image, offset)`` (numpy's offset, column minus
-    row); only offsets some monomial reaches appear.  A monomial prod_m
-    ad_m^p_m a_m^q_m moves mode m by p_m - q_m levels, so its image has one
-    band, the Kronecker product of its per-mode bands.  Each per-mode band is
+    Only offsets some monomial reaches appear.  A monomial prod_m ad_m^p_m
+    a_m^q_m moves mode m by p_m - q_m levels, so its image has one band,
+    the :meth:`Bands.kron` of its per-mode bands.  Each per-mode band is
     built by elementwise products, in the order the dense products
     ad @ (ad @ ... 1) @ a @ a ... would take them, and monomials sharing an
-    offset are summed in term order, so every entry is bit-identical to the
-    dense construction and no dim x dim matrix is formed.  ``cutoff`` is an
-    int (shared by all modes) or a per-mode tuple; two-mode images use the
-    row-major tensor basis |n_a, n_b> -> n_a*(cutoff_b+1)+n_b.  Raises when
-    the polynomial degree exceeds the cutoff.
+    offset are summed in term order into accumulators that start at +0.0,
+    so every entry is bit-identical to the dense construction and no
+    dim x dim matrix is formed.  ``cutoff`` is an int (shared by all modes)
+    or a per-mode tuple; two-mode images use the row-major tensor basis
+    |n_a, n_b> -> n_a*(cutoff_b+1)+n_b.  Raises when the polynomial degree
+    exceeds the cutoff.
     """
     if poly.n_modes > 2:
         raise ValueError("matrix images implemented for one or two modes")
@@ -120,34 +121,36 @@ def _image_bands(poly, cutoff):
             )
     dims = [c + 1 for c in cutoffs]
 
-    # Lazily built per-mode bands of ad^p a^q, indexed by column: entry n
-    # sits in row n + p - q and is zero where that row leaves the space.
+    # Lazily built per-mode images of ad^p a^q, each one band.
     band_cache = [{} for _ in cutoffs]
 
     def mode_band(mode, p, q):
         cache = band_cache[mode]
         if (p, q) not in cache:
-            cols = np.arange(dims[mode])
-            band = np.ones(dims[mode])
+            # Indexed by column: entry n sits in row n + p - q and is zero
+            # where that row leaves the space.
+            dim, k = dims[mode], q - p
+            cols = np.arange(dim)
+            band = np.ones(dim)
             for shift in range(p):
                 rows = cols + shift + 1
-                band = np.where(rows < dims[mode], np.sqrt(rows) * band, 0.0)
+                band = np.where(rows < dim, np.sqrt(rows) * band, 0.0)
             for _ in range(q):
                 band = np.concatenate(([0.0], band[:-1] * np.sqrt(cols[1:])))
-            cache[(p, q)] = band.astype(complex)
+            band = band.astype(complex)
+            cache[(p, q)] = Bands(dim, {k: band[k:] if k >= 0 else band[:dim + k]})
         return cache[(p, q)]
 
-    dim = int(np.prod(dims))
-    by_column = {}
+    acc = {}
     for sig, coeff in poly.terms.items():
-        vec, shift = None, 0
+        term = None
         for mode, (p, q) in enumerate(sig):
             band = mode_band(mode, p, q)
-            vec = band if vec is None else np.kron(vec, band)
-            shift = shift * dims[mode] + p - q
-        acc = by_column.setdefault(-shift, np.zeros(dim, dtype=complex))
-        acc += coeff * vec
-    return dim, {k: v[k:] if k >= 0 else v[:dim + k] for k, v in by_column.items()}
+            term = band if term is None else term.kron(band)
+        (k, band), = term.bands.items()
+        acc.setdefault(k, np.zeros(band.shape, dtype=complex))
+        acc[k] += coeff * band
+    return Bands(int(np.prod(dims)), acc)
 
 
 def to_matrix(poly, cutoff):
@@ -159,7 +162,7 @@ def to_matrix(poly, cutoff):
     from the same construction as the replay images of
     :func:`ansatz_matrices`.
     """
-    return Bands(*_image_bands(poly, cutoff)).toarray()
+    return _image_bands(poly, cutoff).toarray()
 
 
 def oracle_hamiltonian(problem, cutoff):
@@ -295,23 +298,21 @@ def variance(op, psi):
 _TAYLOR_MAX_TERMS = 30
 
 
-def _taylor_step(op, dt, psi, norm=None):
+def _taylor_step(op, dt, psi):
     """exp(-i op dt) @ psi by a Taylor series on the vector.
 
     ``op`` is a dense matrix or a :class:`Bands` and ``dt`` a real or
     complex step.  The step is cut into ceil(|dt| ||op||_1) pieces, so every
     piece has norm <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)); one piece when that product is not finite.
-    ``norm`` is ||op||_1 (largest column sum) when the caller already knows
-    it.
+    ||op||_1 is the largest column sum, computed once per :class:`Bands`.
     ``psi`` is a vector or a block of column states.  Each piece sums terms
     until one falls below roundoff relative to psi (its Frobenius norm for a
     block).
     Raises NonConvergent when a piece needs more than _TAYLOR_MAX_TERMS
     terms, which only non-finite input can cause.
     """
-    if norm is None:
-        norm = op.norm1() if isinstance(op, Bands) else np.max(abs(op).sum(axis=0))
+    norm = op.norm1() if isinstance(op, Bands) else np.max(abs(op).sum(axis=0))
     reach = abs(dt) * norm
     pieces = max(1, int(np.ceil(reach))) if np.isfinite(reach) else 1
     scale = -1j * dt / pieces
@@ -513,47 +514,19 @@ def factor_exponential(coefficient, mat):
     return scipy.linalg.expm(-1j * coefficient * mat)
 
 
-class FactorImage:
-    """Fock image of one ansatz generator, classified once for replay.
-
-    ``offset`` 0: ``data`` is the diagonal; another int: ``data`` is the one
-    band ``np.diagonal(M, offset)`` that holds every nonzero; None: ``data``
-    is M as a :class:`Bands` and ``norm`` is ||M||_1.
-    """
-
-    __slots__ = ("shape", "offset", "data", "norm")
-
-    def __init__(self, dim, offset, data, norm=None):
-        self.shape = (dim, dim)
-        self.offset = offset
-        self.data = data
-        self.norm = norm
-
-
-def _classify(dim, bands):
-    """FactorImage from the bands of M (``{offset: np.diagonal(M, offset)}``).
-
-    Bands with no nonzero are dropped.  M with more than one band left is
-    kept as a :class:`Bands`, with its norm computed once.
-    """
-    bands = {k: band for k, band in bands.items() if np.any(band)}
-    if not bands:
-        return FactorImage(dim, 0, np.zeros(dim, dtype=complex))
-    if len(bands) == 1:
-        (offset, band), = bands.items()
-        return FactorImage(dim, offset, band)
-    image = Bands(dim, bands)
-    return FactorImage(dim, None, image, image.norm1())
-
-
 def ansatz_matrices(basis, cutoff):
     """Fock images of the basis elements, in basis (ansatz) order.
 
-    Each is a :class:`FactorImage`, built from the bands of
-    :func:`_image_bands` and classified once, so a replay of many rows does
-    not inspect its factors again and a two-mode image is never dense.
+    Each is the :class:`Bands` of :func:`_image_bands` with its all-zero
+    bands dropped, built once, so a replay of many rows does not build its
+    factors again and a two-mode image is never dense.
     """
-    return [_classify(*_image_bands(e, cutoff)) for e in basis]
+    images = []
+    for elem in basis:
+        image = _image_bands(elem, cutoff)
+        images.append(Bands(image.shape[0], {
+            k: band for k, band in image.bands.items() if np.any(band)}))
+    return images
 
 
 def _banded_exp_action(coefficient, band, offset, psi):
@@ -590,14 +563,15 @@ def apply_ansatz(f_values, matrices, state=None):
     """Ordered product U = prod_j exp(-i F_j M_j) acting on ``state``.
 
     ``f_values`` may come straight from ``CoefficientTrajectory.final``;
-    ``matrices`` is the :class:`FactorImage` list of :func:`ansatz_matrices`.
+    ``matrices`` is the :class:`Bands` list of :func:`ansatz_matrices`.
     The factors act right to left on ``state``, a vector or a block of
     column states, and U @ state is returned without forming U; without
     ``state`` they act on the identity, which returns U.  Diagonal
     generators multiply elementwise by exp(-i F_j diag M_j); a generator
     with its nonzeros on one off-diagonal is nilpotent and its terminating
-    Taylor series is summed without BLAS calls; every other generator goes
-    through :func:`_taylor_step`, the scaled Taylor series of the oracle, in
+    Taylor series is summed without BLAS calls; a generator with no band
+    leaves the state as it is; every other generator goes through
+    :func:`_taylor_step`, the scaled Taylor series of the oracle, in
     ceil(|F_j| ||M_j||_1) pieces.  Rejects non-finite coefficients and a
     coefficient/matrix count mismatch.
     """
@@ -611,12 +585,14 @@ def apply_ansatz(f_values, matrices, state=None):
     psi = np.asarray(state, dtype=complex)
     column = (-1,) + (1,) * (psi.ndim - 1)
     for f, image in zip(f_values[::-1], matrices[::-1]):
-        if image.offset == 0:
-            psi = np.exp(-1j * f * image.data).reshape(column) * psi
-        elif image.offset is not None:
-            psi = _banded_exp_action(-1j * f, image.data, image.offset, psi)
-        else:
-            psi = _taylor_step(image.data, f, psi, image.norm)
+        if len(image.bands) == 1:
+            (offset, band), = image.bands.items()
+            if offset == 0:
+                psi = np.exp(-1j * f * band).reshape(column) * psi
+            else:
+                psi = _banded_exp_action(-1j * f, band, offset, psi)
+        elif image.bands:
+            psi = _taylor_step(image, f, psi)
     return psi
 
 

@@ -18,13 +18,15 @@ Every kron/transpose placement above is pinned by the vectorisation identity
 verifies trace preservation of the assembled generator.
 
 The generator is assembled as a ``fock.Bands``, its nonzero diagonals: a
-kron product of two banded matrices is banded, so a damped cavity at cutoff
-30 keeps 1860 numbers out of 923k, on two diagonals.  Propagation is driven
-by the Fock oracle's driver (``fock._stepped``), which owns the grid, the
-step size and the refinement; each sub-step is the scaled Taylor series of
-the Fock oracle (``fock._taylor_step``) acting on vec(rho) through the
-banded generator, so neither a dense generator nor a dense exponential is
-formed, and Hermiticity is restored after each step.
+kron product of two banded matrices is banded (``Bands.kron``, the kron the
+two-mode Fock images use too), so a damped cavity at cutoff 30 keeps 1860
+numbers out of 923k, on two diagonals.  Propagation is driven by the Fock
+oracle's driver (``fock._stepped``), which owns the grid, the step size and
+the refinement; each sub-step is the scaled Taylor series of the Fock
+oracle (``fock._taylor_step``) acting on vec(rho) through the banded
+generator i L, whose norm ``Bands.norm1`` computes once, so neither a
+dense generator nor a dense exponential is formed, and Hermiticity is
+restored after each step.
 
 The same dynamics is solved by the decoupling theorem.
 ``superalgebra_closure`` doubles operators into two-mode ladder polynomials
@@ -67,32 +69,9 @@ def devectorize(vec):
 
 def left_right_superop(left, right):
     """Matrix of rho -> left @ rho @ right under column stacking,
-    kron(right^T, left), as a ``fock.Bands``.
-
-    Diagonal k_o of right^T and diagonal k_i of left (dimension d) land on
-    diagonal k_o d + k_i of the product, each entry the product of one entry
-    of each; two pairs that share a diagonal fill disjoint rows.
-    """
-    outer = fock.Bands.from_dense(np.asarray(right).T)
-    inner = fock.Bands.from_dense(left)
-    d_o, d_i = outer.shape[0], inner.shape[0]
-    dim = d_o * d_i
-    bands = {}
-    for k_o, band_o in outer.bands.items():
-        for k_i, band_i in inner.bands.items():
-            k = k_o * d_i + k_i
-            by_row = np.kron(_by_row(d_o, k_o, band_o), _by_row(d_i, k_i, band_i))
-            band = by_row[max(0, -k):dim - max(0, k)]
-            bands[k] = bands[k] + band if k in bands else band
-    return fock.Bands(dim, bands)
-
-
-def _by_row(dim, offset, band):
-    """Diagonal ``offset`` of a dim x dim matrix indexed by row: zero in the
-    rows it does not reach."""
-    vec = np.zeros(dim, dtype=band.dtype)
-    vec[max(0, -offset):dim - max(0, offset)] = band
-    return vec
+    kron(right^T, left), as a ``fock.Bands`` (``Bands.kron``)."""
+    return fock.Bands.from_dense(np.asarray(right).T).kron(
+        fock.Bands.from_dense(left))
 
 
 def kron_identity_residual(a, b, c):
@@ -241,8 +220,8 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
         exponents = [l1] if constant else map(
             _taylor_generator, fock._cfm4_exponents(l1, l2))
         vec = vectorize(rho)
-        for op, norm in exponents:
-            vec = fock._taylor_step(op, sub_dt, vec, norm)
+        for op in exponents:
+            vec = fock._taylor_step(op, sub_dt, vec)
         rho = devectorize(vec)
         sym = 0.5 * (rho + rho.conj().T)
         herm_drift = max(herm_drift, float(np.max(np.abs(rho - sym))))
@@ -261,16 +240,16 @@ def propagate_density(generator, rho0, t_final, dt=None, times=None,
 
 
 def _taylor_generator(gen):
-    """i L as a ``fock.Bands`` and ||L||_1 (its largest column sum):
-    exp(L dt) = exp(-i (i L) dt) is then a ``fock._taylor_step``.  ``gen``
-    is a ``fock.Bands`` or a dense matrix; it is not modified."""
+    """i L as a ``fock.Bands``: exp(L dt) = exp(-i (i L) dt) is then a
+    ``fock._taylor_step``, which takes ||L||_1 from the cached
+    ``Bands.norm1``.  ``gen`` is a ``fock.Bands`` or a dense matrix; it is
+    not modified."""
     if isinstance(gen, np.ndarray):
         gen = fock.Bands.from_dense(gen.astype(complex, copy=False))
     elif not isinstance(gen, fock.Bands):
         raise TypeError("a Lindbladian must be a fock.Bands, a dense matrix or "
                         f"a callable returning either, not {type(gen).__name__}")
-    op = 1j * gen
-    return op, op.norm1()
+    return 1j * gen
 
 
 # -- dissipative algebra closure ----------------------------------------------

@@ -58,6 +58,28 @@ class TestConfigResolution:
                                     dt_out=1 / (cli.MAX_ROWS - 1))
         assert params["n_out"] == cli.MAX_ROWS
 
+    def test_row_elements_bounded(self):
+        # A density row holds (cutoff+1)^2 numbers: 100001 rows at cutoff
+        # 512 would ask for a (100001, 263169) array.  Checked before the
+        # run; the oversized run is never started.
+        with pytest.raises(cli.ConfigError, match="cli.MAX_ROW_ELEMENTS") as err:
+            cli.resolve_params("open-damped",
+                               assignments=["cutoff=512", f"n_out={cli.MAX_ROWS}"])
+        assert f"{cli.MAX_ROWS * 513 ** 2}, over {2 ** 26}" in str(err.value)
+        assert cli.MAX_ROW_ELEMENTS == 2 ** 26
+        # Every state run within the row and cutoff bounds stays accepted,
+        # and open-damped at its default n_out takes any cutoff.
+        for scenario in sorted(cli.SCENARIOS):
+            n_out = 101 if scenario == "open-damped" else cli.MAX_ROWS
+            params = cli.resolve_params(
+                scenario, assignments=[f"cutoff={fock.MAX_CUTOFF}", f"n_out={n_out}"])
+            assert params["n_out"] == n_out
+        # The bound is inclusive: floor(2**26 / 31**2) rows at cutoff 30 pass.
+        rows = cli.MAX_ROW_ELEMENTS // 31 ** 2
+        cli.resolve_params("open-damped", assignments=[f"n_out={rows}"])
+        with pytest.raises(cli.ConfigError, match="MAX_ROW_ELEMENTS"):
+            cli.resolve_params("open-damped", assignments=[f"n_out={rows + 1}"])
+
     def test_non_utf8_config_is_one_line_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "latin1.cfg"
         cfg.write_bytes("# r\xe9glage\ng0 = 0.7\n".encode("latin-1"))
@@ -400,19 +422,19 @@ class TestRunCommand:
         assert hint in err
         assert not out.exists()
 
-    def test_unitary_run_classifies_factors_once(self, tmp_path, monkeypatch):
-        # Each factor image is classified when it is built, not again for
-        # every replayed row.
+    def test_unitary_run_builds_factor_images_once(self, tmp_path, monkeypatch):
+        # Each factor image is built once per run, not again for every
+        # replayed row: once for the replay and once for the oracle's H.
         calls = []
-        real = fock._classify
-        monkeypatch.setattr(fock, "_classify",
+        real = fock._image_bands
+        monkeypatch.setattr(fock, "_image_bands",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         n_factors = len(gaussian.linear_basis())
         for n_out in (5, 17):
             calls.clear()
             assert run_cli(["run", "linear-constant", "T=3.0", f"n_out={n_out}",
                             "cutoff=24", "--out", str(tmp_path / "lc.csv")]) == 0
-            assert len(calls) == n_factors
+            assert len(calls) == 2 * n_factors
 
     def test_dt_out_controls_grid(self, tmp_path):
         out = tmp_path / "c.csv"
@@ -540,7 +562,7 @@ class TestStartup:
         env = dict(os.environ, PYTHONPATH=src)
         code = (
             "import sys, wnd.cli\n"
-            "for name in wnd.cli.SCENARIO_RUNNERS:\n"
+            "for name in wnd.cli.SCENARIOS:\n"
             f"    out = {str(tmp_path)!r} + '/' + name + '.csv'\n"
             "    assert wnd.cli.main(['run', name, '--out', out]) == 0\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -554,7 +576,7 @@ class TestListCommand:
     def test_lists_all_scenarios(self, capsys):
         assert run_cli(["list"]) == 0
         out = capsys.readouterr().out
-        for name in cli.SCENARIO_DEFAULTS:
+        for name in cli.SCENARIOS:
             assert name in out
 
 

@@ -279,7 +279,7 @@ class TestIntegrate:
     def test_steps_are_not_clipped_to_the_grid(self):
         from wnd import cli
 
-        params = dict(cli.SCENARIO_DEFAULTS["quadratic-constant"])
+        params = dict(cli.SCENARIOS["quadratic-constant"][0])
         problem = cli.SCENARIOS["quadratic-constant"][1](params)
         times = np.linspace(0.0, params["T"], 401)
         traj = integrate(problem, times=times)

@@ -94,6 +94,26 @@ class TestToMatrix:
             got = fock.to_matrix(ladder.LadderPolynomial.monomial(1.0, sig), cutoffs)
             assert np.array_equal(got, self._matmul_image(sig, cutoffs))
 
+    def test_random_polynomials_equal_dense_sum_bytes(self):
+        # The dense build sums c * image per term, in term order, into a
+        # zero matrix.  to_matrix must match it byte for byte: signed zeros
+        # too, which a band sum that started from its first term would not.
+        rng = np.random.default_rng(7)
+        for i in range(60):
+            n_modes = 1 + i % 2
+            cutoffs = tuple(int(c) for c in rng.integers(4, 9, size=n_modes))
+            terms = {}
+            for _ in range(int(rng.integers(2, 7))):
+                sig = tuple((int(rng.integers(0, 3)), int(rng.integers(0, 3)))
+                            for _ in range(n_modes))
+                terms[sig] = complex(rng.normal(), rng.normal())
+            poly = ladder.LadderPolynomial(n_modes, terms)
+            dim = int(np.prod([c + 1 for c in cutoffs]))
+            acc = np.zeros((dim, dim), dtype=complex)
+            for sig, c in poly.terms.items():
+                acc += c * self._matmul_image(sig, cutoffs)
+            assert fock.to_matrix(poly, cutoffs).tobytes() == acc.tobytes()
+
     def test_cutoff_too_small(self):
         ad = ladder.creation()
         with pytest.raises(ValueError):
@@ -533,7 +553,7 @@ class TestOracleHamiltonian:
     @staticmethod
     def _draw(scenario, seed):
         rng = np.random.default_rng(seed)
-        defaults = cli.SCENARIO_DEFAULTS[scenario]
+        defaults = cli.SCENARIOS[scenario][0]
         drawn = {key: rng.uniform(*bounds)
                  for key, bounds in TestOracleHamiltonian.RANGES.items()
                  if key in defaults}
@@ -586,7 +606,35 @@ class TestBands:
     @pytest.mark.parametrize("offsets", OFFSETS, ids=str)
     def test_norm1_is_dense_column_sum(self, rng, offsets):
         op = _random_bands(rng, 7, offsets)
-        assert op.norm1() == np.max(np.sum(np.abs(op.toarray()), axis=0))
+        norm = op.norm1()
+        assert norm == np.max(np.sum(np.abs(op.toarray()), axis=0))
+        # Computed once: a later call returns the same float object.
+        assert op.norm1() is norm
+
+    def test_kron_matches_dense(self, rng):
+        # Offset pairs (0, 1) and (1, -2) of two 3 x 3 operands meet on
+        # diagonal 1, pairs (-1, 2) and (0, -1) on diagonal -1.  Entries
+        # equal np.kron's exactly; np.array_equal, as np.kron multiplies the
+        # zeros off the bands too and may leave -0.0 where a band sum has
+        # +0.0.
+        cases = [((3, (0, 1)), (3, (-2, 1))),
+                 ((3, (-1, 0)), (3, (-1, 2))),
+                 ((4, (-3, 0, 2)), (2, (-1, 0, 1))),
+                 ((2, (1,)), (5, (-4, -1, 0, 3)))]
+        for (d_o, offsets_o), (d_i, offsets_i) in cases:
+            outer = _random_bands(rng, d_o, offsets_o)
+            inner = _random_bands(rng, d_i, offsets_i)
+            got = outer.kron(inner)
+            assert got.shape == (d_o * d_i,) * 2
+            assert np.array_equal(got.toarray(),
+                                  np.kron(outer.toarray(), inner.toarray()))
+        assert list(fock.Bands(3, {0: np.ones(3)}).kron(
+            fock.Bands(3, {1: np.ones(2), -1: np.ones(2)})).bands) == [-1, 1]
+        empty = fock.Bands(4, {})
+        other = _random_bands(rng, 3, (-1, 2))
+        for got in (empty.kron(other), other.kron(empty)):
+            assert got.bands == {}
+            assert np.array_equal(got.toarray(), np.zeros((12, 12)))
 
     def test_arithmetic_matches_dense(self, rng):
         a = _random_bands(rng, 6, (-1, 0, 2))
@@ -634,25 +682,19 @@ class TestBands:
         psi = rng.normal(size=8) + 1j * rng.normal(size=8)
         dt = 0.7
         want = scipy.linalg.expm(-1j * dt * op.toarray()) @ psi
-        for got in (fock._taylor_step(op, dt, psi),
-                    fock._taylor_step(op, dt, psi, op.norm1())):
-            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        got = fock._taylor_step(op, dt, psi)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_to_matrix_places_image_bands(self):
         poly = ladder.parse_polynomial("ad*b + a*bd + 0.5*ad*a", n_modes=2)
-        dim, bands = fock._image_bands(poly, (3, 4))
+        image = fock._image_bands(poly, (3, 4))
+        assert isinstance(image, fock.Bands)
+        dim = image.shape[0]
         dense = fock.to_matrix(poly, (3, 4))
+        assert list(image.bands) == [-4, 0, 4]
         for k in range(-dim + 1, dim):
-            want = bands.get(k, np.zeros(dim - abs(k)))
+            want = image.bands.get(k, np.zeros(dim - abs(k)))
             assert np.array_equal(np.diagonal(dense, k), want)
-
-
-def _image_dense(image):
-    """Dense matrix of a FactorImage: its diagonal or band placed at its
-    offset, or its Bands densified."""
-    if image.offset is None:
-        return image.data.toarray()
-    return np.diag(image.data, image.offset)
 
 
 class TestApplyAnsatz:
@@ -785,11 +827,14 @@ class TestApplyAnsatz:
         ids=["linear", "combined", "two-mode-monomials"],
     )
     def test_images_match_dense_matrices(self, basis, cutoff):
-        # The classified images hold the numbers of the dense images, bit
-        # for bit.
+        # The replay images hold the numbers of the dense images, bit for
+        # bit, and only bands with a nonzero.
         images = fock.ansatz_matrices(basis, cutoff)
         for image, elem in zip(images, basis):
-            assert np.array_equal(_image_dense(image), fock.to_matrix(elem, cutoff))
+            assert isinstance(image, fock.Bands)
+            assert all(np.any(band) for band in image.bands.values())
+            assert (image.toarray().tobytes()
+                    == fock.to_matrix(elem, cutoff).tobytes())
 
     def test_image_kinds(self):
         # A diagonal, one band, or a Bands of several; two-mode images hold
@@ -799,44 +844,42 @@ class TestApplyAnsatz:
                  for text in ("ad*a - bd*b", "a*b", "ad*b + a*bd")}
         images = {text: fock.ansatz_matrices([p], cutoff)[0]
                   for text, p in polys.items()}
-        assert images["ad*a - bd*b"].offset == 0
-        assert images["a*b"].offset == 32  # lowers n_a*31 + n_b by 32
-        assert images["ad*b + a*bd"].offset is None
-        bands = images["ad*b + a*bd"].data
-        assert isinstance(bands, fock.Bands)
-        assert list(bands.bands) == [-30, 30]
-        assert images["ad*b + a*bd"].norm == bands.norm1()
+        assert list(images["ad*a - bd*b"].bands) == [0]
+        assert list(images["a*b"].bands) == [32]  # lowers n_a*31 + n_b by 32
+        assert list(images["ad*b + a*bd"].bands) == [-30, 30]
         for text, image in images.items():
             assert image.shape == (961, 961)
-            np.testing.assert_array_equal(_image_dense(image),
+            assert sum(band.size for band in image.bands.values()) < 2 * 961
+            np.testing.assert_array_equal(image.toarray(),
                                           fock.to_matrix(polys[text], cutoff))
 
     def test_multiband_factor_by_taylor_pieces(self, monkeypatch):
         # A beam-splitter factor of the two-mode closure has two bands, so
-        # its Bands image goes through the scaled Taylor step with the norm
-        # classified once: |F| ||M||_1 >= 20 cuts it into at least 20 pieces.
+        # its image goes through the scaled Taylor step with its norm
+        # computed once: |F| ||M||_1 >= 20 cuts it into at least 20 pieces.
         steps = []
         real_step = fock._taylor_step
 
-        def recorded(op, dt, psi, norm=None):
-            steps.append((op, norm))
-            return real_step(op, dt, psi, norm)
+        def recorded(op, dt, psi):
+            steps.append(op)
+            return real_step(op, dt, psi)
 
         monkeypatch.setattr(fock, "_taylor_step", recorded)
         cutoff = (3, 3)
         basis = ladder.close_algebra(
             [ladder.parse_polynomial("ad*b + a*bd", n_modes=2)])
         image = fock.ansatz_matrices(basis, cutoff)[0]
-        assert image.offset is None
-        assert isinstance(image.data, fock.Bands)
-        dense = image.data.toarray()
+        assert len(image.bands) == 2
+        dense = image.toarray()
         f = 0.5 - 4.2j  # mostly imaginary: |F|, not Re F, sets the pieces
-        assert image.norm == np.max(np.sum(np.abs(dense), axis=0))
-        assert abs(f) * image.norm >= 20
+        norm = image.norm1()
+        assert norm == np.max(np.sum(np.abs(dense), axis=0))
+        assert abs(f) * norm >= 20
         rng = np.random.default_rng(11)
         psi = rng.normal(size=16) + 1j * rng.normal(size=16)
         got = fock.apply_ansatz([f], [image], psi)
-        assert steps == [(image.data, image.norm)]
+        assert len(steps) == 1 and steps[0] is image
+        assert image.norm1() is norm
         want = scipy.linalg.expm(-1j * f * dense) @ psi
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
@@ -902,7 +945,7 @@ class TestLeakageControl:
             params = cli.resolve_params(
                 scenario, assignments=[f"cutoff={c}", "n_out=7", *extra]
             )
-            _cols, min_fid = cli.SCENARIO_RUNNERS[scenario](params)
+            _cols, min_fid = cli._run(scenario, params)
             fids.append(min_fid)
         assert abs(fids[0] - fids[1]) < 1e-8
 
