@@ -253,12 +253,9 @@ def _oracle_states(h_eval, psi0, times):
     )
 
 
-def _ansatz_states(raw_traj, cutoff, psi0):
-    mats = fock.ansatz_matrices(raw_traj.basis, cutoff)
-    states = np.empty((len(raw_traj.times), psi0.shape[0]), dtype=complex)
-    for i in range(len(raw_traj.times)):
-        states[i] = fock.apply_ansatz(raw_traj.values[:, i], mats, psi0)
-    return states
+def _ansatz_states(raw_traj, images, start):
+    """Every row of the trajectory replayed on ``start``, in one call."""
+    return fock.apply_ansatz(raw_traj.values, images, start)
 
 
 # Readers of run rows: each picks its branch from the shape of ``rows``,
@@ -300,13 +297,14 @@ def _run(scenario, params):
     psi0 = fock.coherent_state(params["alpha"], cutoff)
     dynamics = describe(params)
     if isinstance(dynamics, engine.DecouplingProblem):
-        # Replay psi0 at ``cutoff``; the oracle's H(t) comes from the problem.
+        # Replay psi0 at ``cutoff``; the oracle's H(t) comes from the problem
+        # and the replay's factor images.
         problem, x0, start, modes = dynamics, psi0, psi0, cutoff
         what = ("ansatz state", "oracle state")
 
         def oracle():
-            return _oracle_states(fock.oracle_hamiltonian(problem, cutoff),
-                                  psi0, times)
+            return _oracle_states(
+                fock.oracle_hamiltonian(problem, cutoff, images), psi0, times)
     else:
         # Replay vec(rho0) with two-mode cutoff (cutoff, cutoff); the oracle
         # is built from the fock.to_matrix images of the same polynomials.
@@ -324,10 +322,11 @@ def _run(scenario, params):
 
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
+    images = fock.ansatz_matrices(problem.basis, modes)
     # A replayed row of a density run is vec(rho_n), which read in C order
     # is rho_n transposed; the swap makes it rho_n, as a view of the replay.
     # A state row is left as it is.
-    replay = _ansatz_states(traj, modes, start).reshape(
+    replay = _ansatz_states(traj, images, start).reshape(
         len(times), *x0.shape).swapaxes(1, -1)
     # A run whose replay leaks fails without paying for the oracle.
     fock.check_leakage(what[0], times, _populations(replay))

@@ -146,11 +146,18 @@ def xi_matrix(structure, f):
 def _det_ratio(xi):
     """|det Xi| relative to its Hadamard bound (product of row norms).
 
-    Takes one matrix or a stack; a zero or non-finite bound gives 0.
+    Takes one matrix or a stack; a zero or non-finite bound gives 0.  The
+    row norms are the sums ``np.linalg.norm`` takes, without its dispatch;
+    one matrix, as every RHS call passes, skips the masks, with the same
+    bits as its row of a stack.
     """
-    scale = np.prod(np.linalg.norm(xi, axis=-1), axis=-1)
+    scale = np.multiply.reduce(
+        np.sqrt(np.add.reduce((xi.conj() * xi).real, axis=-1)), axis=-1)
+    det = np.abs(np.linalg.det(xi))
+    if xi.ndim == 2:
+        return det / scale if scale != 0.0 and math.isfinite(scale) else 0.0
     ok = (scale != 0.0) & np.isfinite(scale)
-    return np.where(ok, np.abs(np.linalg.det(xi)) / np.where(ok, scale, 1.0), 0.0)
+    return np.where(ok, det / np.where(ok, scale, 1.0), 0.0)
 
 
 class DecouplingProblem:

@@ -31,14 +31,18 @@ for a dense matrix.
 The ordered exponential prod_j exp(-i F_j M_j) is replayed by
 :func:`apply_ansatz` factor by factor on a state vector, or on a block of
 column states (the identity, for the operator itself), so no dense
-exponential is formed.  :func:`ansatz_matrices` builds each generator
-image once, as a :class:`Bands` without its all-zero bands, so a replay of
-many rows does not build its factors again and a two-mode image is never
-dense.  The replay picks each factor's action from its bands: one band at
-offset 0 (a diagonal) multiplies elementwise; one band at another offset
-(the image of every ladder monomial ad^p a^q with p != q, in one or two
-modes) is nilpotent, so its exponential is the terminating Taylor series,
-summed in full with elementwise products; any other image goes through
+exponential is formed.  Given a table of coefficients, one column per
+output row, it replays every row of a trajectory on one state at once:
+the rows are the columns of working blocks of at most ``_REPLAY_BLOCK``
+numbers, and come back as one C-contiguous array, each row bit-identical to
+its own replay.  :func:`ansatz_matrices` builds each generator image once,
+as a :class:`Bands` without its all-zero bands, so a replay of many rows
+does not build its factors again and a two-mode image is never dense.  The
+replay picks each factor's action from its bands: one band at offset 0 (a
+diagonal) multiplies elementwise; one band at another offset (the image of
+every ladder monomial ad^p a^q with p != q, in one or two modes) is
+nilpotent, so its exponential is the terminating Taylor series, summed in
+full with elementwise products; any other image goes through
 :func:`_taylor_step`.
 
 :class:`Bands` (defined in ``wnd.bands``) is the package's one banded
@@ -165,20 +169,25 @@ def to_matrix(poly, cutoff):
     return _image_bands(poly, cutoff).toarray()
 
 
-def oracle_hamiltonian(problem, cutoff):
+def oracle_hamiltonian(problem, cutoff, images=None):
     """H(t) = sum_j G_j(t) to_matrix(H_j, cutoff) of a decoupling problem.
 
     ``problem`` supplies ``basis`` and ``signals`` (a
-    ``engine.DecouplingProblem``).  The images of elements with a
+    ``engine.DecouplingProblem``).  ``images``, when given, are the
+    :func:`ansatz_matrices` of the basis at ``cutoff``, already built for
+    the replay; their dense matrices are the same bytes as ``to_matrix``,
+    since the bands they drop are +0.0.  The images of elements with a
     ``Constant`` signal are summed once, as are those of elements that share
     one signal object; the rest is added at each evaluation.  Returns the
     matrix itself when every signal is constant, else a callable t -> H(t),
     the two forms :func:`propagate_state` takes.
     """
+    if images is None:
+        images = [_image_bands(elem, cutoff) for elem in problem.basis]
     const = 0.0
     varying = {}
-    for sig, elem in zip(problem.signals, problem.basis):
-        mat = to_matrix(elem, cutoff)
+    for sig, image in zip(problem.signals, images):
+        mat = image.toarray()
         if isinstance(sig, Constant):
             const = const + sig.value * mat
         else:
@@ -532,7 +541,8 @@ def ansatz_matrices(basis, cutoff):
 def _banded_exp_action(coefficient, band, offset, psi):
     """exp(coefficient * M) @ psi for M with entries ``band`` on the single
     off-diagonal ``offset`` (``band = np.diagonal(M, offset)``); ``psi`` is
-    a vector or a block of column states.
+    a vector or a block of column states, and ``coefficient`` a scalar or,
+    for a block, one coefficient per column.
 
     M^k lives on diagonal k * offset, so M is nilpotent and the Taylor series
     ends after ceil(dim / |offset|) terms.  Every term is summed on its
@@ -541,7 +551,7 @@ def _banded_exp_action(coefficient, band, offset, psi):
     coefficient and the series has no truncation error.
     """
     step = abs(offset)
-    scaled = (coefficient * band).reshape((-1,) + (1,) * (psi.ndim - 1))
+    scaled = band.reshape((-1,) + (1,) * (psi.ndim - 1)) * coefficient
     out = psi.copy()
     term = psi
     k = 1
@@ -559,6 +569,12 @@ def _banded_exp_action(coefficient, band, offset, psi):
     return out
 
 
+# Largest working block of a replayed table, in complex numbers: the rows
+# are replayed in blocks of max(1, _REPLAY_BLOCK // dim) columns, so a long
+# grid keeps the memory of a short one.
+_REPLAY_BLOCK = 2 ** 15
+
+
 def apply_ansatz(f_values, matrices, state=None):
     """Ordered product U = prod_j exp(-i F_j M_j) acting on ``state``.
 
@@ -572,8 +588,18 @@ def apply_ansatz(f_values, matrices, state=None):
     Taylor series is summed without BLAS calls; a generator with no band
     leaves the state as it is; every other generator goes through
     :func:`_taylor_step`, the scaled Taylor series of the oracle, in
-    ceil(|F_j| ||M_j||_1) pieces.  Rejects non-finite coefficients and a
-    coefficient/matrix count mismatch.
+    ceil(|F_j| ||M_j||_1) pieces.
+
+    A table ``f_values`` of shape (n, rows), such as
+    ``CoefficientTrajectory.values``, takes one state vector and replays
+    every row: column r of a working block is ``state`` driven by
+    ``f_values[:, r]``, and each factor acts on the whole block, a
+    multi-band one column by column, so every row is bit-identical to its
+    own replay.  The block holds at most ``_REPLAY_BLOCK`` numbers (one
+    column at least); each block after the first is one more call of this
+    function.  Returns the rows as one C-contiguous (rows, dim) array, so a
+    row reads as a contiguous vector.  Rejects non-finite coefficients, a
+    coefficient/matrix count mismatch, and a table without a state vector.
     """
     f_values = np.asarray(f_values, dtype=complex)
     if not np.all(np.isfinite(f_values)):
@@ -583,16 +609,35 @@ def apply_ansatz(f_values, matrices, state=None):
     if state is None:
         state = np.eye(matrices[0].shape[0])
     psi = np.asarray(state, dtype=complex)
+    table = f_values.ndim == 2
+    if table:
+        if psi.ndim != 1:
+            raise ValueError("a coefficient table replays one state vector")
+        dim, rows = psi.shape[0], f_values.shape[1]
+        width = max(1, _REPLAY_BLOCK // dim)
+        out = np.empty((rows, dim), dtype=complex)
+        for lo in range(width, rows, width):
+            out[lo:lo + width] = apply_ansatz(f_values[:, lo:lo + width],
+                                              matrices, psi)
+        f_values = f_values[:, :width]
+        psi = np.repeat(psi[:, None], f_values.shape[1], axis=1)
     column = (-1,) + (1,) * (psi.ndim - 1)
     for f, image in zip(f_values[::-1], matrices[::-1]):
         if len(image.bands) == 1:
             (offset, band), = image.bands.items()
             if offset == 0:
-                psi = np.exp(-1j * f * band).reshape(column) * psi
+                psi = np.exp(-1j * f * band.reshape(column)) * psi
             else:
                 psi = _banded_exp_action(-1j * f, band, offset, psi)
+        elif image.bands and table:
+            for r, f_r in enumerate(f):
+                psi[:, r] = _taylor_step(image, f_r,
+                                         np.ascontiguousarray(psi[:, r]))
         elif image.bands:
             psi = _taylor_step(image, f, psi)
+    if table:
+        out[:psi.shape[1]] = psi.T
+        return out
     return psi
 
 

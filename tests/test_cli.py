@@ -424,7 +424,7 @@ class TestRunCommand:
 
     def test_unitary_run_builds_factor_images_once(self, tmp_path, monkeypatch):
         # Each factor image is built once per run, not again for every
-        # replayed row: once for the replay and once for the oracle's H.
+        # replayed row, and the oracle's H is summed from the same images.
         calls = []
         real = fock._image_bands
         monkeypatch.setattr(fock, "_image_bands",
@@ -434,7 +434,27 @@ class TestRunCommand:
             calls.clear()
             assert run_cli(["run", "linear-constant", "T=3.0", f"n_out={n_out}",
                             "cutoff=24", "--out", str(tmp_path / "lc.csv")]) == 0
-            assert len(calls) == 2 * n_factors
+            assert len(calls) == n_factors
+
+    @pytest.mark.parametrize("scenario,levels,blocks", [
+        ("linear-constant", 41, 1),
+        ("open-damped", 31 ** 2, 3),
+    ])
+    def test_replay_is_one_call_per_block(self, scenario, levels, blocks,
+                                          tmp_path, monkeypatch):
+        # A default run replays its rows in blocks of
+        # fock._REPLAY_BLOCK // dim columns, each one call of apply_ansatz:
+        # one call for the 201 state rows of dimension 41, and three for the
+        # 101 density rows of dimension 961.
+        calls = []
+        real = fock.apply_ansatz
+        monkeypatch.setattr(fock, "apply_ansatz",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        assert run_cli(["run", scenario, "--out", str(tmp_path / "d.csv")]) == 0
+        rows = cli.SCENARIOS[scenario][0]["n_out"]
+        assert blocks == -(-rows // (fock._REPLAY_BLOCK // levels))
+        assert len(calls) == blocks
+        assert np.shape(calls[0][0]) == (len(calls[0][1]), rows)
 
     def test_dt_out_controls_grid(self, tmp_path):
         out = tmp_path / "c.csv"

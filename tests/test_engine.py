@@ -96,6 +96,24 @@ class TestXiTable:
                      for i in range(len(traj.times))]
         np.testing.assert_array_equal(traj.det_ratio, per_point)
 
+    def test_det_ratio_edge_matrices_match_the_stack(self):
+        # The one-matrix path agrees with its row of a stack at the edges
+        # too: a zero row (bound 0), an overflowing or non-finite bound
+        # (ratio 0), and a singular matrix of finite bound (ratio 0 from
+        # the determinant).
+        rng = np.random.default_rng(29)
+        mats = rng.normal(size=(6, 5, 5)) + 1j * rng.normal(size=(6, 5, 5))
+        mats[1, 2] = 0.0
+        mats[2] *= 1e300
+        mats[3, 0, 0] = np.nan
+        mats[4, 4] = mats[4, 3]
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = engine._det_ratio(mats)
+            single = [engine._det_ratio(m) for m in mats]
+        np.testing.assert_array_equal(stacked, single)
+        assert list(stacked[1:4]) == [0.0, 0.0, 0.0]
+        assert 0.0 < stacked[0] <= 1.0 and stacked[4] < 1e-12
+
     def test_series_fallback_for_defective_adjoint(self, monkeypatch):
         # M_0 = 0.7 I + J (a 2x2 Jordan block beside a zero row): neither
         # nilpotent nor diagonalisable, so it takes scipy.linalg.expm per

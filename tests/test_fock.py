@@ -578,6 +578,20 @@ class TestOracleHamiltonian:
             got = derived(t) if callable(derived) else derived
             assert np.max(np.abs(got - want(t))) <= 1e-12
 
+    @pytest.mark.parametrize("scenario", sorted(DRIVES))
+    def test_replay_images_give_the_same_bytes(self, scenario):
+        # A run sums its oracle H from the replay's images, which drop
+        # their all-zero bands; the dense H is the same bytes.
+        params = cli.resolve_params(scenario)
+        problem = cli.SCENARIOS[scenario][1](params)
+        cutoff = params["cutoff"]
+        images = fock.ansatz_matrices(problem.basis, cutoff)
+        built = fock.oracle_hamiltonian(problem, cutoff)
+        reused = fock.oracle_hamiltonian(problem, cutoff, images)
+        for t in np.linspace(0.0, params["T"], 5):
+            want, got = ((h(t) if callable(h) else h) for h in (built, reused))
+            assert got.tobytes() == want.tobytes()
+
 
 def _random_bands(rng, dim, offsets):
     return fock.Bands(dim, {k: rng.normal(size=dim - abs(k))
@@ -756,6 +770,86 @@ class TestApplyAnsatz:
         mats = fock.ansatz_matrices(gaussian.linear_basis(), 4)
         with pytest.raises(ValueError):
             fock.apply_ansatz([np.nan, 0, 0, 0], mats)
+
+    # Bases whose images take every factor action: diagonal, one band, and
+    # (in the two-mode closures of ad*b + a*bd) several bands.
+    TABLE_BASES = {
+        "linear": (gaussian.linear_basis(), 10),
+        "su11": (gaussian.su11_basis(), 10),
+        "combined": (gaussian.combined_basis(), 10),
+        "two-mode-monomials": (ladder.close_algebra(
+            [ladder.parse_polynomial(g, n_modes=2) for g in ("ad*b", "a*bd")]),
+            (3, 4)),
+        "two-mode-number": (ladder.close_algebra(
+            [ladder.parse_polynomial(g, n_modes=2)
+             for g in ("ad*b + a*bd", "ad*a + bd*b")]), (3, 4)),
+        "two-mode": (ladder.close_algebra(
+            [ladder.parse_polynomial(g, n_modes=2)
+             for g in ("ad*b + a*bd", "ad*a")]), (3, 4)),
+    }
+
+    @staticmethod
+    def _table(basis, cutoff, rows, seed):
+        mats = fock.ansatz_matrices(basis, cutoff)
+        dim = mats[0].shape[0]
+        rng = np.random.default_rng(seed)
+        shape = (len(mats), rows)
+        f = 2.0 * np.sqrt(rng.uniform(size=shape)) * np.exp(
+            2j * np.pi * rng.uniform(size=shape))
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        return f, mats, psi / np.linalg.norm(psi)
+
+    @pytest.mark.parametrize("name", sorted(TABLE_BASES))
+    def test_table_rows_are_row_replays(self, name):
+        # Each replayed row is the bits of its own replay, and the rows
+        # come back as one C-contiguous (rows, dim) array.
+        basis, cutoff = self.TABLE_BASES[name]
+        f, mats, psi = self._table(basis, cutoff, 9, 4242)
+        multi_band = any(len(m.bands) > 1 for m in mats)
+        assert multi_band == (name in ("two-mode", "two-mode-number"))
+        got = fock.apply_ansatz(f, mats, psi)
+        assert got.shape == (9, psi.size) and got.flags.c_contiguous
+        for r in range(9):
+            assert np.array_equal(got[r], fock.apply_ansatz(f[:, r], mats, psi))
+
+    @pytest.mark.parametrize("width", [1, 2, 4])
+    @pytest.mark.parametrize("name", sorted(TABLE_BASES))
+    def test_blocks_split_the_table(self, name, width, monkeypatch):
+        # Blocks of 1, 2 or 4 columns split 9 rows unevenly; each block
+        # after the first is one more call, and the rows are unchanged.
+        basis, cutoff = self.TABLE_BASES[name]
+        f, mats, psi = self._table(basis, cutoff, 9, 77)
+        want = np.array([fock.apply_ansatz(f[:, r], mats, psi)
+                         for r in range(9)])
+        calls = []
+        real = fock.apply_ansatz
+        monkeypatch.setattr(fock, "apply_ansatz",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        # One column short of the next width, so the floor division counts.
+        monkeypatch.setattr(fock, "_REPLAY_BLOCK", (width + 1) * psi.size - 1)
+        got = fock.apply_ansatz(f, mats, psi)
+        assert len(calls) == -(-9 // width)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want)
+
+    def test_table_needs_one_state_vector(self):
+        mats = fock.ansatz_matrices(gaussian.linear_basis(), 6)
+        f = np.zeros((4, 3))
+        with pytest.raises(ValueError, match="one state vector"):
+            fock.apply_ansatz(f, mats, np.eye(7)[:, :2])
+        with pytest.raises(ValueError, match="one state vector"):
+            fock.apply_ansatz(f, mats)
+
+    @pytest.mark.parametrize("row,col", [(0, 0), (3, 8), (1, 5)])
+    def test_table_rejects_any_non_finite(self, row, col, monkeypatch):
+        # A non-finite entry anywhere in the table is rejected, in the first
+        # block or in a later one.
+        monkeypatch.setattr(fock, "_REPLAY_BLOCK", 7 * 2)
+        mats = fock.ansatz_matrices(gaussian.linear_basis(), 6)
+        f = np.zeros((4, 9), dtype=complex)
+        f[row, col] = complex(0.0, np.inf) if col % 2 else np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            fock.apply_ansatz(f, mats, np.eye(7)[0])
 
     @pytest.mark.parametrize(
         "basis,cutoff",
