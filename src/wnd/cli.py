@@ -323,11 +323,9 @@ def _run(scenario, params):
     traj = engine.integrate(problem, rtol=params["rtol"], atol=params["atol"],
                             times=times)
     images = fock.ansatz_matrices(problem.basis, modes)
-    # A replayed row of a density run is vec(rho_n), which read in C order
-    # is rho_n transposed; the swap makes it rho_n, as a view of the replay.
-    # A state row is left as it is.
-    replay = _ansatz_states(traj, images, start).reshape(
-        len(times), *x0.shape).swapaxes(1, -1)
+    replay = _ansatz_states(traj, images, start)
+    if x0.ndim == 2:
+        replay = liouville.devectorize(replay)
     # A run whose replay leaks fails without paying for the oracle.
     fock.check_leakage(what[0], times, _populations(replay))
     rows = oracle()

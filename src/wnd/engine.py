@@ -168,6 +168,13 @@ class DecouplingProblem:
     is the basis order: to change it, pass ``basis.reordered(perm)`` and the
     signals permuted to match.  The initial condition F(0) = 0 is fixed by
     the decoupling theorem.
+
+    The problem owns the split of G(t) that :meth:`g_vector` and the Fock
+    oracle (``fock.oracle_hamiltonian``) read: ``g_constant`` holds every
+    ``Constant`` slot's value and 0 elsewhere; ``g_varying`` pairs each
+    distinct time-dependent signal object (``linear_problem`` passes one
+    twice), in order of first appearance, with the slots it drives, so each
+    signal is evaluated once per :meth:`g_vector` call.
     """
 
     def __init__(self, basis, signals, t_final):
@@ -178,17 +185,14 @@ class DecouplingProblem:
         signals += [ZERO] * (n - len(signals))
         self.basis = basis
         self.signals = signals
-        # G(t) starts from the constant entries, filled once; each distinct
-        # time-dependent signal object is evaluated once per call and written
-        # to every slot it drives (linear_problem passes one object twice).
-        self._g_const = np.array(
+        self.g_constant = np.array(
             [s.value if isinstance(s, Constant) else 0.0 for s in self.signals],
             dtype=complex)
         slots = {}
         for i, s in enumerate(self.signals):
             if not isinstance(s, Constant):
                 slots.setdefault(s, []).append(i)
-        self._g_varying = [(s, np.array(idx)) for s, idx in slots.items()]
+        self.g_varying = [(s, np.array(idx)) for s, idx in slots.items()]
         if not t_final > 0:
             raise ValueError("span must be positive")
         self.t_final = float(t_final)
@@ -201,8 +205,8 @@ class DecouplingProblem:
         return len(self.basis)
 
     def g_vector(self, t):
-        g = self._g_const.copy()
-        for sig, idx in self._g_varying:
+        g = self.g_constant.copy()
+        for sig, idx in self.g_varying:
             g[idx] = sig(t)
         return g
 
@@ -246,13 +250,16 @@ class CoefficientTrajectory:
         return self.values[:, -1]
 
 
-def _output_grid(times, span):
+def _output_grid(times, span=None):
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError("output grid must be a non-empty 1-D array, got "
+                         f"shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError("output grid times must be finite")
     if times[0] != 0.0 or np.any(np.diff(times) <= 0):
         raise ValueError("output grid must start at 0 and increase strictly")
-    if times[-1] > span * (1 + 1e-12):
+    if span is not None and times[-1] > span * (1 + 1e-12):
         raise ValueError("output grid exceeds the span")
     return times
 

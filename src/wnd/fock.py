@@ -17,16 +17,20 @@ time-dependent H is not diagonalised and no dense step matrix is formed.
 ``psi0`` may be a block of column states: :func:`propagate` is the oracle
 applied to the identity, which is how operator-level checks get U(t).
 :func:`oracle_hamiltonian` derives the oracle's H(t) from a decoupling
-problem.  The oracle shares two primitives with the ansatz replay below:
-the Fock images, from one band construction (:func:`to_matrix` places the
-bands in a dense matrix), which the tests pin against matrices built from
-:func:`destroy`; and the scaled Taylor action :func:`_taylor_step`, which
-the tests pin against ``scipy.linalg.expm``.
+problem, summed by the problem's own split of G(t) into constant and
+time-dependent slots.  The oracle shares two primitives with the ansatz
+replay below: the Fock images, from one band construction
+(:func:`to_matrix` places the bands in a dense matrix), which the tests pin
+against matrices built from :func:`destroy`; and the scaled Taylor action
+:func:`_taylor_step`, which the tests pin against ``scipy.linalg.expm``.
 
-The package has one exponential per form: :func:`_taylor_step` for an
-exponential acting on a vector (the oracle, the replay's multi-band
-factors and the density propagator in ``liouville``), ``scipy.linalg.expm``
-for a dense matrix.
+The package has five exponentials, each implemented once:
+:func:`_taylor_step` acting on a vector (the oracle's time-dependent
+sub-steps, the replay's multi-band factors, ``liouville``'s density
+propagator); the cached ``eigh`` step of :class:`_ExpStepper` for a
+constant H; :func:`_banded_exp_action` for a one-off-diagonal replay
+factor; an elementwise ``exp`` for a diagonal one; ``scipy.linalg.expm``
+(:func:`factor_exponential`) for a dense matrix.
 
 The ordered exponential prod_j exp(-i F_j M_j) is replayed by
 :func:`apply_ansatz` factor by factor on a state vector, or on a block of
@@ -36,14 +40,13 @@ output row, it replays every row of a trajectory on one state at once:
 the rows are the columns of working blocks of at most ``_REPLAY_BLOCK``
 numbers, and come back as one C-contiguous array, each row bit-identical to
 its own replay.  :func:`ansatz_matrices` builds each generator image once,
-as a :class:`Bands` without its all-zero bands, so a replay of many rows
-does not build its factors again and a two-mode image is never dense.  The
-replay picks each factor's action from its bands: one band at offset 0 (a
-diagonal) multiplies elementwise; one band at another offset (the image of
-every ladder monomial ad^p a^q with p != q, in one or two modes) is
-nilpotent, so its exponential is the terminating Taylor series, summed in
-full with elementwise products; any other image goes through
-:func:`_taylor_step`.
+as a :class:`Bands`, so a replay of many rows does not build its factors
+again and a two-mode image is never dense.  The replay picks each factor's
+action from its bands: one band at offset 0 (a diagonal) multiplies
+elementwise; one band at another offset (the image of every ladder
+monomial ad^p a^q with p != q, in one or two modes) is nilpotent, so its
+exponential is the terminating Taylor series, summed in full with
+elementwise products; any other image goes through :func:`_taylor_step`.
 
 :class:`Bands` (defined in ``wnd.bands``) is the package's one banded
 form: a square operator held as its nonzero diagonals.  Every Fock image is
@@ -70,7 +73,6 @@ import numpy as np
 from . import engine
 from .bands import Bands
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
-from .signals import Constant
 
 
 def destroy(cutoff):
@@ -172,29 +174,24 @@ def to_matrix(poly, cutoff):
 def oracle_hamiltonian(problem, cutoff, images=None):
     """H(t) = sum_j G_j(t) to_matrix(H_j, cutoff) of a decoupling problem.
 
-    ``problem`` supplies ``basis`` and ``signals`` (a
-    ``engine.DecouplingProblem``).  ``images``, when given, are the
-    :func:`ansatz_matrices` of the basis at ``cutoff``, already built for
-    the replay; their dense matrices are the same bytes as ``to_matrix``,
-    since the bands they drop are +0.0.  The images of elements with a
-    ``Constant`` signal are summed once, as are those of elements that share
-    one signal object; the rest is added at each evaluation.  Returns the
-    matrix itself when every signal is constant, else a callable t -> H(t),
-    the two forms :func:`propagate_state` takes.
+    ``problem`` is an ``engine.DecouplingProblem``, and its own split of
+    G(t) is summed: the images of the constant slots once, in basis order,
+    and the images of each ``g_varying`` signal's slots once, so an
+    evaluation adds one matrix per distinct time-dependent signal.
+    ``images`` (default: built here) are the :func:`ansatz_matrices` of the
+    basis at ``cutoff``.  Returns the matrix itself when every signal is
+    constant, else a callable t -> H(t), the two forms
+    :func:`propagate_state` takes.
     """
     if images is None:
-        images = [_image_bands(elem, cutoff) for elem in problem.basis]
-    const = 0.0
-    varying = {}
-    for sig, image in zip(problem.signals, images):
-        mat = image.toarray()
-        if isinstance(sig, Constant):
-            const = const + sig.value * mat
-        else:
-            varying[sig] = varying.get(sig, 0.0) + mat
-    if not varying:
+        images = ansatz_matrices(problem.basis, cutoff)
+    mats = [image.toarray() for image in images]
+    terms = [(sig, sum(mats[i] for i in idx)) for sig, idx in problem.g_varying]
+    driven = {i for _, idx in problem.g_varying for i in idx}
+    const = sum(g * mats[i] for i, g in enumerate(problem.g_constant)
+                if i not in driven)
+    if not terms:
         return const
-    terms = list(varying.items())
 
     def h_eval(t):
         h = const
@@ -437,15 +434,14 @@ def _stepped(generator, x0, times, dt, tol, max_refinements, what, step,
     refined, and the CFM4 error falls as dt^4.
 
     ``span`` (default: the last grid time) bounds the grid; ``dt`` defaults
-    to span/2000.  Raises ValueError for a grid that is not finite, does not
-    start at 0, does not increase strictly or runs past ``span``, and unless
-    dt is finite with 0 < dt <= span/100; NonConvergent, naming ``what``,
-    when ``max_refinements`` halvings do not settle.  Returns the states at
-    ``times``, x0 first, as one array.
+    to span/2000.  Raises ValueError for a grid that is empty, not 1-D, not
+    finite, does not start at 0, does not increase strictly or runs past
+    ``span``, and unless dt is finite with 0 < dt <= span/100;
+    NonConvergent, naming ``what``, when ``max_refinements`` halvings do not
+    settle.  Returns the states at ``times``, x0 first, as one array.
     """
-    times = np.asarray(times, dtype=float)
-    span = float(times[-1] if span is None else span)
     times = engine._output_grid(times, span)
+    span = float(times[-1] if span is None else span)
     if dt is None:
         dt = span / 2000.0
     if not (np.isfinite(dt) and 0.0 < dt <= span / 100.0):
@@ -526,16 +522,11 @@ def factor_exponential(coefficient, mat):
 def ansatz_matrices(basis, cutoff):
     """Fock images of the basis elements, in basis (ansatz) order.
 
-    Each is the :class:`Bands` of :func:`_image_bands` with its all-zero
-    bands dropped, built once, so a replay of many rows does not build its
-    factors again and a two-mode image is never dense.
+    Each is the :class:`Bands` of :func:`_image_bands`, built once, so a
+    replay of many rows does not build its factors again and a two-mode
+    image is never dense.
     """
-    images = []
-    for elem in basis:
-        image = _image_bands(elem, cutoff)
-        images.append(Bands(image.shape[0], {
-            k: band for k, band in image.bands.items() if np.any(band)}))
-    return images
+    return [_image_bands(elem, cutoff) for elem in basis]
 
 
 def _banded_exp_action(coefficient, band, offset, psi):
@@ -585,8 +576,8 @@ def apply_ansatz(f_values, matrices, state=None):
     ``state`` they act on the identity, which returns U.  Diagonal
     generators multiply elementwise by exp(-i F_j diag M_j); a generator
     with its nonzeros on one off-diagonal is nilpotent and its terminating
-    Taylor series is summed without BLAS calls; a generator with no band
-    leaves the state as it is; every other generator goes through
+    Taylor series is summed without BLAS calls; every other generator,
+    one without a band too, goes through
     :func:`_taylor_step`, the scaled Taylor series of the oracle, in
     ceil(|F_j| ||M_j||_1) pieces.
 
@@ -629,11 +620,11 @@ def apply_ansatz(f_values, matrices, state=None):
                 psi = np.exp(-1j * f * band.reshape(column)) * psi
             else:
                 psi = _banded_exp_action(-1j * f, band, offset, psi)
-        elif image.bands and table:
+        elif table:
             for r, f_r in enumerate(f):
                 psi[:, r] = _taylor_step(image, f_r,
                                          np.ascontiguousarray(psi[:, r]))
-        elif image.bands:
+        else:
             psi = _taylor_step(image, f, psi)
     if table:
         out[:psi.shape[1]] = psi.T

@@ -59,12 +59,13 @@ def vectorize(mat):
 
 
 def devectorize(vec):
-    """Inverse of :func:`vectorize`; exact round trip."""
-    vec = np.asarray(vec)
-    dim = int(round(np.sqrt(vec.size)))
-    if dim * dim != vec.size:
+    """Inverse of :func:`vectorize`; exact round trip.  A stack (..., n^2),
+    such as a replayed density trajectory, gives (..., n, n) views."""
+    vec = np.atleast_1d(vec)
+    dim = int(round(np.sqrt(vec.shape[-1])))
+    if dim * dim != vec.shape[-1]:
         raise ValueError("vector length is not a perfect square")
-    return vec.reshape((dim, dim), order="F")
+    return vec.reshape(vec.shape[:-1] + (dim, dim)).swapaxes(-1, -2)
 
 
 def left_right_superop(left, right):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from wnd import engine, fock, gaussian, ladder, symplectic
+from wnd import engine, fock, gaussian, ladder, liouville, symplectic
 from wnd.engine import DecouplingProblem, integrate, xi_matrix
 from wnd.errors import NonFinite, StepUnderflow, WndError, XiSingular
 from wnd.ladder import LieBasis, structure_constants
@@ -349,6 +349,29 @@ class TestIntegrate:
             integrate(prob, times=np.array([0.0, 0.5, 0.5, 1.0]))
         with pytest.raises(ValueError, match="finite"):
             integrate(prob, times=np.array([0.0, np.nan, 1.0]))
+
+    # Every call that takes an output grid, each on a 5-level system.
+    GRID_CALLS = {
+        "integrate": lambda grid: integrate(
+            gaussian.linear_problem(Constant(0.1), Constant(0.1), 1.0),
+            times=grid),
+        "propagate_symplectic": lambda grid: symplectic.propagate_symplectic(
+            Sinusoid(0.1, 2.0), Sinusoid(0.1, 2.0), 1.0, times=grid),
+        "propagate_state-matrix": lambda grid: fock.propagate_state(
+            fock.number_op(4), np.eye(5)[0], grid),
+        "propagate_state-callable": lambda grid: fock.propagate_state(
+            lambda t: fock.number_op(4), np.eye(5)[0], grid),
+        "propagate_density": lambda grid: liouville.propagate_density(
+            liouville.build_lindbladian(fock.number_op(4), []),
+            np.diag(np.eye(5)[0]), 1.0, times=grid),
+    }
+
+    @pytest.mark.parametrize("grid", [[], [[0.0, 1.0]], [[0.0], [1.0]]],
+                             ids=["empty", "row", "column"])
+    @pytest.mark.parametrize("call", sorted(GRID_CALLS))
+    def test_grid_must_be_a_non_empty_vector(self, call, grid):
+        with pytest.raises(ValueError, match="output grid must be a non-empty"):
+            self.GRID_CALLS[call](grid)
 
 
 class TestProblemConstruction:

@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from wnd import cli, engine, fock, gaussian, ladder, symplectic
 from wnd.errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
-from wnd.signals import Constant, Sinusoid
+from wnd.signals import Constant, Hook, Sinusoid
 
 
 class TestLadderMatrix:
@@ -580,8 +580,8 @@ class TestOracleHamiltonian:
 
     @pytest.mark.parametrize("scenario", sorted(DRIVES))
     def test_replay_images_give_the_same_bytes(self, scenario):
-        # A run sums its oracle H from the replay's images, which drop
-        # their all-zero bands; the dense H is the same bytes.
+        # A run sums its oracle H from the replay's images; the dense H is
+        # the same bytes as the one built from the basis.
         params = cli.resolve_params(scenario)
         problem = cli.SCENARIOS[scenario][1](params)
         cutoff = params["cutoff"]
@@ -591,6 +591,27 @@ class TestOracleHamiltonian:
         for t in np.linspace(0.0, params["T"], 5):
             want, got = ((h(t) if callable(h) else h) for h in (built, reused))
             assert got.tobytes() == want.tobytes()
+
+    def test_shared_signal_evaluated_once(self):
+        # linear_problem drives both ladder slots with one signal object, so
+        # the problem's split holds one time-dependent group of two slots.
+        calls = []
+
+        def drive(t):
+            calls.append(t)
+            return 0.3 * np.cos(1.7 * t) + 0.1j
+
+        shared = Hook(drive)
+        problem = gaussian.linear_problem(shared, shared, 1.0)
+        cutoff = 12
+        h_eval = fock.oracle_hamiltonian(problem, cutoff)
+        mats = [fock.to_matrix(elem, cutoff) for elem in problem.basis]
+        for t in np.linspace(0.0, 1.0, 5):
+            calls.clear()
+            got = h_eval(t)
+            assert len(calls) == 1
+            want = sum(sig(t) * mat for sig, mat in zip(problem.signals, mats))
+            assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def _random_bands(rng, dim, offsets):
@@ -712,6 +733,18 @@ class TestBands:
 
 
 class TestApplyAnsatz:
+    def test_factor_without_bands_leaves_the_state(self):
+        rng = np.random.default_rng(6)
+        dim = 6
+        images = [fock.Bands(dim, {})]
+        vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        block = rng.normal(size=(dim, 3)) + 1j * rng.normal(size=(dim, 3))
+        assert np.array_equal(fock.apply_ansatz([0.7 - 0.2j], images, vec), vec)
+        assert np.array_equal(fock.apply_ansatz([0.7 - 0.2j], images, block),
+                              block)
+        table = fock.apply_ansatz([[0.7, -1.3j, 2.0]], images, vec)
+        assert np.array_equal(table, np.tile(vec, (3, 1)))
+
     def test_all_zero_is_identity(self):
         mats = fock.ansatz_matrices(gaussian.linear_basis(), 8)
         np.testing.assert_allclose(

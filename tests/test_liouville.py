@@ -28,6 +28,14 @@ class TestVectorization:
             liouville.devectorize(liouville.vectorize(m)), m
         )
 
+    def test_stack_round_trip_exact(self):
+        rng = np.random.default_rng(9)
+        mats = rng.normal(size=(2, 4, 3, 3)) + 1j * rng.normal(size=(2, 4, 3, 3))
+        stack = np.array([[liouville.vectorize(m) for m in row] for row in mats])
+        got = liouville.devectorize(stack)
+        np.testing.assert_array_equal(got, mats)
+        assert np.shares_memory(got, stack)
+
     def test_shape_errors(self):
         with pytest.raises(ValueError):
             liouville.vectorize(np.zeros((2, 3)))
