@@ -17,8 +17,12 @@ time-dependent H is not diagonalised and no dense step matrix is formed.
 ``psi0`` may be a block of column states: :func:`propagate` is the oracle
 applied to the identity, which is how operator-level checks get U(t).
 :func:`oracle_hamiltonian` derives the oracle's H(t) from a decoupling
-problem, summed by the problem's own split of G(t) into constant and
-time-dependent slots.  The oracle shares two primitives with the ansatz
+problem, summed once by the problem's own split of G(t) into constant and
+time-dependent slots: a time-dependent H is sampled as a
+:class:`TermSample`, the coefficients of fixed term matrices, which the
+stepper checks for Hermiticity on the coefficients and sums into one dense
+matrix per CFM4 exponent, so no dense H(t) is built, checked or copied per
+sample.  The oracle shares two primitives with the ansatz
 replay below: the Fock images, from one band construction
 (:func:`to_matrix` places the bands in a dense matrix), which the tests pin
 against matrices built from :func:`destroy`; and the scaled Taylor action
@@ -66,11 +70,13 @@ every ``wnd run`` row, state or density, and it judges each mode apart.
 
 from __future__ import annotations
 
+import cmath
 import math
+import numbers
 
 import numpy as np
 
-from . import engine
+from . import engine, ladder
 from .bands import Bands
 from .errors import LeakageTooLarge, ModeMismatch, NonConvergent, NonHermitian
 
@@ -175,31 +181,120 @@ def oracle_hamiltonian(problem, cutoff, images=None):
     """H(t) = sum_j G_j(t) to_matrix(H_j, cutoff) of a decoupling problem.
 
     ``problem`` is an ``engine.DecouplingProblem``, and its own split of
-    G(t) is summed: the images of the constant slots once, in basis order,
-    and the images of each ``g_varying`` signal's slots once, so an
-    evaluation adds one matrix per distinct time-dependent signal.
-    ``images`` (default: built here) are the :func:`ansatz_matrices` of the
-    basis at ``cutoff``.  Returns the matrix itself when every signal is
-    constant, else a callable t -> H(t), the two forms
-    :func:`propagate_state` takes.
+    G(t) is summed once, at build time: the images of the constant slots,
+    in basis order, into one matrix C, and the images of each
+    ``g_varying`` signal's slots into one matrix M_k.  ``images`` (default:
+    built here) are the :func:`ansatz_matrices` of the basis at
+    ``cutoff``.  Returns the matrix C itself when every signal is
+    constant.  Otherwise returns a callable t -> :class:`TermSample`, the
+    coefficients (1, s_1(t), .., s_S(t)) of H(t) = C + sum_k s_k(t) M_k,
+    each signal evaluated once; :func:`propagate_state` steps such a
+    sample without forming a dense H(t) per sample.
     """
     if images is None:
         images = ansatz_matrices(problem.basis, cutoff)
     mats = [image.toarray() for image in images]
-    terms = [(sig, sum(mats[i] for i in idx)) for sig, idx in problem.g_varying]
     driven = {i for _, idx in problem.g_varying for i in idx}
-    const = sum(g * mats[i] for i, g in enumerate(problem.g_constant)
-                if i not in driven)
-    if not terms:
+    fixed = [(i, g) for i, g in enumerate(problem.g_constant) if i not in driven]
+    const = sum(g * mats[i] for i, g in fixed)
+    if not problem.g_varying:
         return const
+    # The term polynomials behind C and each M_k, whose monomial
+    # coordinates judge a sample's Hermiticity; C's starts from zero.
+    basis = list(problem.basis)
+    polys = [sum((basis[i] * g for i, g in fixed), basis[0] * 0.0)]
+    polys += [sum((basis[i] for i in idx[1:]), basis[idx[0]])
+              for _, idx in problem.g_varying]
+    if np.ndim(const) == 0:
+        const = np.zeros_like(mats[0])
+    terms = _Terms([const] + [sum(mats[i] for i in idx)
+                              for _, idx in problem.g_varying], polys)
+    signals = [sig for sig, _ in problem.g_varying]
 
     def h_eval(t):
-        h = const
-        for sig, mat in terms:
-            h = h + sig(t) * mat
-        return h
+        return TermSample(terms, np.array([1.0] + [sig(t) for sig in signals],
+                                          dtype=complex))
 
     return h_eval
+
+
+class _Terms:
+    """The fixed part of a derived H(t) = sum_k c_k M_k: the term matrices
+    ``mats`` = [C, M_1..M_S], their ||.||_1 (``norms``), and ``coords``,
+    which maps (c, conj(c)) to the monomial coordinates of H stacked over
+    those of H - H^dagger (E c - B conj(c), for E the coordinates of the
+    term polynomials and B those of their adjoints).  Distinct monomials
+    have independent images, so the second half vanishes exactly when the
+    matrix H - H^dagger does."""
+
+    def __init__(self, mats, polys):
+        self.mats = mats
+        self.shape = mats[0].shape
+        self.norms = np.array([np.max(np.abs(m).sum(axis=0)) for m in mats])
+        n = len(polys)
+        both, _ = ladder.coefficient_matrix(polys + [p.dagger() for p in polys])
+        e, b = both[:, :n], both[:, n:]
+        self.coords = np.block([[e, np.zeros_like(b)], [e, -b]])
+
+
+class TermSample:
+    """One sample of a derived H(t): coefficients ``coeffs`` over the fixed
+    term matrices [C, M_1..M_S] of :func:`oracle_hamiltonian`.
+
+    Scalar ``*`` and ``+`` of samples of one H combine coefficients, so the
+    CFM4 exponents of :func:`_cfm4_exponents` are samples too; numpy
+    scalars defer to these operators.  :meth:`toarray` is the dense sum,
+    :meth:`norm_bound` bounds its ||.||_1 from the terms' norms, and
+    :meth:`check_hermitian` judges H - H^dagger on the coefficients.
+    """
+
+    __slots__ = ("terms", "coeffs")
+    __array_ufunc__ = None
+
+    def __init__(self, terms, coeffs):
+        self.terms = terms
+        self.coeffs = coeffs
+
+    @property
+    def shape(self):
+        return self.terms.shape
+
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Number):
+            return NotImplemented
+        return TermSample(self.terms, self.coeffs * scalar)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if not isinstance(other, TermSample) or other.terms is not self.terms:
+            return NotImplemented
+        return TermSample(self.terms, self.coeffs + other.coeffs)
+
+    def toarray(self):
+        """sum_k c_k M_k as a dense matrix, one scaled add per term."""
+        mats = self.terms.mats
+        out = self.coeffs[0] * mats[0]
+        for c, mat in zip(self.coeffs[1:], mats[1:]):
+            out += c * mat
+        return out
+
+    def norm_bound(self):
+        """sum_k |c_k| ||M_k||_1, a bound on ||H||_1."""
+        return float(np.abs(self.coeffs) @ self.terms.norms)
+
+    def check_hermitian(self):
+        """Raise NonHermitian unless the coordinates of H - H^dagger are
+        within 1e-12 (the tolerance of :func:`is_hermitian`) of those of H
+        at their largest (at least 1), or when a coefficient is not
+        finite."""
+        c = self.coeffs
+        if not all(map(cmath.isfinite, c.tolist())):
+            raise NonHermitian("oracle propagator requires a finite H(t)")
+        sizes = np.abs(self.terms.coords @ np.concatenate((c, c.conj()))).tolist()
+        half = len(sizes) // 2
+        if max(sizes[half:]) > 1e-12 * max(max(sizes[:half]), 1.0):
+            raise NonHermitian("oracle propagator requires a Hermitian H(t)")
 
 
 def is_hermitian(mat, tol=1e-12):
@@ -304,21 +399,25 @@ def variance(op, psi):
 _TAYLOR_MAX_TERMS = 30
 
 
-def _taylor_step(op, dt, psi):
+def _taylor_step(op, dt, psi, norm=None):
     """exp(-i op dt) @ psi by a Taylor series on the vector.
 
     ``op`` is a dense matrix or a :class:`Bands` and ``dt`` a real or
     complex step.  The step is cut into ceil(|dt| ||op||_1) pieces, so every
     piece has norm <= 1 (the scaling behind Al-Mohy & Higham, SIAM J. Sci.
     Comput. 33, 488 (2011)); one piece when that product is not finite.
-    ||op||_1 is the largest column sum, computed once per :class:`Bands`.
+    ||op||_1 is the largest column sum, computed once per :class:`Bands`;
+    a caller that knows a bound on it passes ``norm`` instead (the oracle's
+    sum_k |x_k| ||M_k||_1 of a :class:`TermSample`), which can only add
+    pieces.
     ``psi`` is a vector or a block of column states.  Each piece sums terms
     until one falls below roundoff relative to psi (its Frobenius norm for a
     block).
     Raises NonConvergent when a piece needs more than _TAYLOR_MAX_TERMS
     terms, which only non-finite input can cause.
     """
-    norm = op.norm1() if isinstance(op, Bands) else np.max(abs(op).sum(axis=0))
+    if norm is None:
+        norm = op.norm1() if isinstance(op, Bands) else np.max(abs(op).sum(axis=0))
     reach = abs(dt) * norm
     pieces = max(1, int(np.ceil(reach))) if np.isfinite(reach) else 1
     scale = -1j * dt / pieces
@@ -355,7 +454,8 @@ def _cfm4_exponents(g1, g2):
     the two Gauss-Legendre nodes, in the order they act on the state.
 
     A sub-step of size dt is exp(-i dt X2) exp(-i dt X1) for (X1, X2) the
-    returned pair; ``g1``, ``g2`` are dense matrices or :class:`Bands`.  Both
+    returned pair; ``g1``, ``g2`` are dense matrices, :class:`Bands` or
+    :class:`TermSample`s, which combine coefficients here.  Both
     oracles form their time-dependent sub-steps here.
     """
     return _CFM4_A1 * g1 + _CFM4_A2 * g2, _CFM4_A2 * g1 + _CFM4_A1 * g2
@@ -365,14 +465,20 @@ class _ExpStepper:
     """CFM4 sub-steps with a cache for a repeated H.
 
     ``cfm4_state`` applies one CFM4 sub-step to a state or a block of column
-    states: when its two samples are equal (a constant drive) the step is
-    exactly exp(-i H dt), taken from the eigen step matrix cached for that H
-    and dt; otherwise each of its two exponentials goes through
+    states.  Samples that are :class:`TermSample`s (a derived H, also when
+    a wrapper returns them unchanged) are checked for Hermiticity on their
+    coefficients, and each CFM4 exponent is summed into one dense matrix
+    and applied by :func:`_taylor_step` with the terms' norm bound; no
+    dense H is checked or copied.  Matrix samples take the content path:
+    when the two are equal (a constant drive) the step is exactly
+    exp(-i H dt), taken from the eigen step matrix cached for that H and
+    dt; otherwise each of the two exponentials goes through
     :func:`_taylor_step`, so a time-dependent H is not diagonalised.  Every
-    H that differs from the previous evaluation is checked for Hermiticity
-    (raises NonHermitian, also for a non-finite H).  A repeat is detected by
-    content, so one stepper serves every refinement pass of a call and a
-    later pass reuses an eigendecomposition only for an equal H.
+    matrix H that differs from the previous evaluation is checked for
+    Hermiticity.  Both paths raise NonHermitian, also for a non-finite H.
+    A repeat is detected by content, so one stepper serves every refinement
+    pass of a call and a later pass reuses an eigendecomposition only for
+    an equal H.
     """
 
     def __init__(self):
@@ -407,6 +513,13 @@ class _ExpStepper:
         """One CFM4 sub-step of size ``dt`` on ``psi`` from the samples
         ``h1``, ``h2`` at the two Gauss-Legendre nodes; the sub-step's
         midpoint, which :func:`_stepped` passes, is not needed."""
+        if isinstance(h1, TermSample):
+            h1.check_hermitian()
+            h2.check_hermitian()
+            for exponent in _cfm4_exponents(h1, h2):
+                psi = _taylor_step(exponent.toarray(), dt, psi,
+                                   exponent.norm_bound())
+            return psi
         self._is_repeat(h1)
         if self._is_repeat(h2):
             return self._cached_step(dt) @ psi
@@ -419,12 +532,15 @@ def _stepped(generator, x0, times, dt, tol, max_refinements, what, step,
              span=None):
     """The one driver of both oracles: ``x0`` stepped over the grid ``times``.
 
-    ``generator`` is a matrix or a callable t -> matrix.  Each output
+    ``generator`` is a matrix or a callable t -> sample, a matrix or
+    anything ``step`` takes (such as a :class:`TermSample`).  Each output
     interval is cut into equal sub-steps that land on its end, and a
     sub-step of size h with midpoint t_mid is x <- step(g1, g2, h, x,
     t_mid): g1, g2 are the callable's samples at the two Gauss-Legendre
     nodes t_mid -+ sqrt(3)/6 h of the CFM4 step (:func:`_cfm4_exponents`),
-    or the matrix itself, twice.
+    or the matrix itself, twice.  A one-point grid [0] takes no step and
+    returns x0 as its one row; neither ``generator`` nor ``dt`` is
+    looked at.
 
     A matrix is constant, so each interval is one exact step, in one pass,
     and ``dt`` plays no part.  A callable takes sub-steps of at most dt,
@@ -436,11 +552,14 @@ def _stepped(generator, x0, times, dt, tol, max_refinements, what, step,
     ``span`` (default: the last grid time) bounds the grid; ``dt`` defaults
     to span/2000.  Raises ValueError for a grid that is empty, not 1-D, not
     finite, does not start at 0, does not increase strictly or runs past
-    ``span``, and unless dt is finite with 0 < dt <= span/100;
+    ``span``, and, on a grid of two or more points, unless dt is finite
+    with 0 < dt <= span/100;
     NonConvergent, naming ``what``, when ``max_refinements`` halvings do not
     settle.  Returns the states at ``times``, x0 first, as one array.
     """
     times = engine._output_grid(times, span)
+    if len(times) == 1:
+        return np.array([x0])
     span = float(times[-1] if span is None else span)
     if dt is None:
         dt = span / 2000.0
@@ -497,7 +616,8 @@ def propagate_state(hamiltonian, psi0, times, dt=None, drift_tol=1e-9,
     """State trajectory of the oracle: :func:`_stepped` with the sub-step
     :meth:`_ExpStepper.cfm4_state` of one stepper for the whole call.
 
-    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix, and
+    ``hamiltonian`` is a Hermitian matrix or a callable t -> matrix, or
+    t -> :class:`TermSample` (:func:`oracle_hamiltonian`), and
     ``drift_tol`` is the driver's refinement tolerance.  ``psi0`` is a
     state of shape (dim,) or a block of k column states of shape (dim, k).
     Raises ValueError for a bad grid or dt, NonHermitian for a

@@ -270,14 +270,20 @@ def oscillator_quadratic_constant(lam_plus, lam_minus, t):
     return coeff
 
 
+def _squeeze_signals(lam_plus, lam_minus):
+    """The K+ and K- slots' signals 2 l+ and 2 l-: one scaled object for
+    both when ``lam_minus is lam_plus``, so the problem's split holds them
+    as one group and l is evaluated once per sample, as for the linear
+    family's shared drive."""
+    plus = as_signal(lam_plus) * 2.0
+    return plus, plus if lam_minus is lam_plus else as_signal(lam_minus) * 2.0
+
+
 def quadratic_problem(lam_plus, lam_minus, t_final):
     """Engine problem for the quadratic family, G = (2 l+, 2, 2 l-, -1/2)."""
+    plus, minus = _squeeze_signals(lam_plus, lam_minus)
     return engine.DecouplingProblem(
-        su11_basis(),
-        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
-         Constant(-0.5)],
-        t_final,
-    )
+        su11_basis(), [plus, Constant(2.0), minus, Constant(-0.5)], t_final)
 
 
 @dataclass
@@ -342,10 +348,11 @@ def rotating_frame_drive(g_plus_vals, g_minus_vals, xi_plus, xi_zero, xi_minus):
 def combined_problem(g_plus, g_minus, lam_plus, lam_minus, t_final):
     """Engine problem for the combined family,
     G = (2 l+, 2, 2 l-, g+, g-, -1/2)."""
+    plus, minus = _squeeze_signals(lam_plus, lam_minus)
     return engine.DecouplingProblem(
         combined_basis(),
-        [as_signal(lam_plus) * 2.0, Constant(2.0), as_signal(lam_minus) * 2.0,
-         as_signal(g_plus), as_signal(g_minus), Constant(-0.5)],
+        [plus, Constant(2.0), minus, as_signal(g_plus), as_signal(g_minus),
+         Constant(-0.5)],
         t_final,
     )
 

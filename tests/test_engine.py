@@ -373,6 +373,22 @@ class TestIntegrate:
         with pytest.raises(ValueError, match="output grid must be a non-empty"):
             self.GRID_CALLS[call](grid)
 
+    # Each call's rows, as a sequence, and the start they step from.
+    ROWS = {
+        "integrate": lambda out: (out.values.T, np.zeros(4)),
+        "propagate_symplectic": lambda out: (out.matrices, np.eye(2)),
+        "propagate_state-matrix": lambda out: (out, np.eye(5)[0]),
+        "propagate_state-callable": lambda out: (out, np.eye(5)[0]),
+        "propagate_density": lambda out: (out.matrices, np.diag(np.eye(5)[0])),
+    }
+
+    @pytest.mark.parametrize("call", sorted(GRID_CALLS))
+    def test_one_point_grid_returns_its_row(self, call):
+        # No step is taken, and no dt is asked for.
+        rows, start = self.ROWS[call](self.GRID_CALLS[call]([0.0]))
+        assert len(rows) == 1
+        np.testing.assert_array_equal(rows[0], start)
+
 
 class TestProblemConstruction:
     def test_signal_padding(self):
@@ -395,6 +411,39 @@ class TestProblemConstruction:
             assert len(calls) == 1
             want = np.array([s(t) for s in prob.signals], dtype=complex)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", ["quadratic", "combined"])
+    def test_shared_squeezing_signal_evaluated_once(self, family):
+        # One lambda for both K+- slots is one scaled signal object: one
+        # time-dependent group of two slots, evaluated once per g_vector
+        # and per oracle sample, with the G(t) of two equal but distinct
+        # signals.
+        calls = []
+
+        def lam(t):
+            calls.append(t)
+            return 0.1 * np.cos(2.0 * t)
+
+        def build(lam_plus, lam_minus):
+            if family == "quadratic":
+                return gaussian.quadratic_problem(lam_plus, lam_minus, 1.0)
+            return gaussian.combined_problem(0.1, 0.1, lam_plus, lam_minus, 1.0)
+
+        shared = Hook(lam)
+        prob = build(shared, shared)
+        apart = build(shared, Hook(lam))
+        (_, idx), = prob.g_varying
+        assert list(idx) == [0, 2]
+        assert len(apart.g_varying) == 2
+        h_eval = fock.oracle_hamiltonian(prob, 8)
+        for t in np.linspace(0.0, 1.0, 7):
+            calls.clear()
+            got = prob.g_vector(t)
+            assert len(calls) == 1
+            assert np.array_equal(got, apart.g_vector(t))
+            calls.clear()
+            h_eval(t)
+            assert len(calls) == 1
 
     def test_too_many_signals(self):
         with pytest.raises(ValueError, match="more signals"):

@@ -575,7 +575,7 @@ class TestOracleHamiltonian:
         # Only the driven scenarios need an H per time.
         assert callable(derived) == scenario.endswith(("resonant", "parametric"))
         for t in np.linspace(0.0, params["T"], 23):
-            got = derived(t) if callable(derived) else derived
+            got = derived(t).toarray() if callable(derived) else derived
             assert np.max(np.abs(got - want(t))) <= 1e-12
 
     @pytest.mark.parametrize("scenario", sorted(DRIVES))
@@ -589,7 +589,8 @@ class TestOracleHamiltonian:
         built = fock.oracle_hamiltonian(problem, cutoff)
         reused = fock.oracle_hamiltonian(problem, cutoff, images)
         for t in np.linspace(0.0, params["T"], 5):
-            want, got = ((h(t) if callable(h) else h) for h in (built, reused))
+            want, got = ((h(t).toarray() if callable(h) else h)
+                         for h in (built, reused))
             assert got.tobytes() == want.tobytes()
 
     def test_shared_signal_evaluated_once(self):
@@ -608,10 +609,100 @@ class TestOracleHamiltonian:
         mats = [fock.to_matrix(elem, cutoff) for elem in problem.basis]
         for t in np.linspace(0.0, 1.0, 5):
             calls.clear()
-            got = h_eval(t)
+            got = h_eval(t).toarray()
             assert len(calls) == 1
             want = sum(sig(t) * mat for sig, mat in zip(problem.signals, mats))
             assert np.max(np.abs(got - want)) <= 1e-14
+
+
+class TestDerivedHamiltonian:
+    """The oracle steps a derived H(t) as coefficients over its term
+    matrices: same rows as its dense samples, and the same Hermiticity
+    rule, judged on the coefficients."""
+
+    @staticmethod
+    def _cases():
+        cases = {}
+        for scenario, extra in [("linear-resonant", []),
+                                ("quadratic-parametric", ["alpha=0.5"])]:
+            params = cli.resolve_params(scenario, assignments=extra)
+            cases[scenario] = (cli.SCENARIOS[scenario][1](params),
+                               params["cutoff"], params["alpha"], params["T"])
+        g, lam = Sinusoid(0.1, 1.0), Sinusoid(0.05, 2.0)
+        cases["gaussian_combined"] = (
+            gaussian.combined_problem(g, g, lam, lam, 3.0), 40, 0.5, 3.0)
+        return cases
+
+    @pytest.mark.parametrize(
+        "case", ["linear-resonant", "quadratic-parametric", "gaussian_combined"])
+    def test_rows_match_dense_samples(self, case):
+        problem, cutoff, alpha, span = self._cases()[case]
+        h = fock.oracle_hamiltonian(problem, cutoff)
+        psi0 = fock.coherent_state(alpha, cutoff)
+        times = np.linspace(0.0, span, 9)
+        got = cli._oracle_states(h, psi0, times)
+        want = cli._oracle_states(lambda t: h(t).toarray(), psi0, times)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    @staticmethod
+    def _linear(drive):
+        return gaussian.linear_problem(*(2 * [Hook(drive)]), 1.0)
+
+    NON_HERMITIAN = {
+        "imaginary-drive": lambda: TestDerivedHamiltonian._linear(
+            lambda t: 0.2 * np.cos(t) + 1e-9j),
+        "nan": lambda: TestDerivedHamiltonian._linear(lambda t: np.nan),
+        "inf": lambda: TestDerivedHamiltonian._linear(lambda t: np.inf),
+        "non-conjugate-pair": lambda: gaussian.quadratic_problem(
+            Sinusoid(0.1, 2.0), Sinusoid(0.2, 2.0), 1.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(NON_HERMITIAN))
+    def test_non_hermitian_raises_without_warning(self, case):
+        h = fock.oracle_hamiltonian(self.NON_HERMITIAN[case](), 8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(NonHermitian):
+                fock.propagate_state(h, np.eye(9)[0], [0.0, 1.0])
+
+    def test_conjugate_hook_pair_passes(self):
+        # Two groups, K+ and K-, neither Hermitian alone: their sum is.
+        problem = gaussian.quadratic_problem(
+            Hook(lambda t: 0.1 * np.exp(2j * t)),
+            Hook(lambda t: 0.1 * np.exp(-2j * t)), 1.0)
+        assert len(problem.g_varying) == 2
+        h = fock.oracle_hamiltonian(problem, 30)
+        psi0 = fock.coherent_state(0.5, 30)
+        times = np.linspace(0.0, 1.0, 3)
+        got = fock.propagate_state(h, psi0, times, dt=0.01)
+        want = fock.propagate_state(lambda t: h(t).toarray(), psi0, times,
+                                    dt=0.01)
+        assert np.max(np.abs(got - want)) <= 1e-14
+
+    def test_no_dense_check_per_sample(self, monkeypatch):
+        calls = []
+        checked = fock.is_hermitian
+
+        def counted(mat, tol=1e-12):
+            calls.append(1)
+            return checked(mat, tol)
+
+        monkeypatch.setattr(fock, "is_hermitian", counted)
+        h = fock.oracle_hamiltonian(self._cases()["gaussian_combined"][0], 12)
+        psi0 = fock.coherent_state(0.5, 12)
+        fock.propagate_state(h, psi0, [0.0, 1.0], dt=0.01)
+        assert calls == []
+        # A raw callable still takes the dense check.
+        fock.propagate_state(lambda t: h(t).toarray(), psi0, [0.0, 1.0],
+                             dt=0.01)
+        assert calls
+
+    def test_propagate_accepts_derived_hamiltonian(self):
+        h = fock.oracle_hamiltonian(self._cases()["gaussian_combined"][0], 12)
+        got = fock.propagate(h, 1.0, dt=0.01)
+        want = fock.propagate(lambda t: h(t).toarray(), 1.0, dt=0.01)
+        assert got.shape == (13, 13)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
 
 def _random_bands(rng, dim, offsets):
