@@ -27,10 +27,15 @@ clipped to the output grid; the rows at the requested times come from its
 seventh-order dense output.  |det Xi| is monitored relative to its Hadamard
 bound on every RHS call and at every output time; the solver fails loudly
 when the parameterisation leaves its validity neighbourhood, and a
-non-finite drive value or coefficient raises NonFinite.  The Dormand-Prince
-5(4) stepper :func:`rk45_on_grid`, which lands on every output time, is
-kept as the integrator of the phase-space reference in ``symplectic``, so
-that reference does not share its integrator with the engine it checks.
+non-finite drive value or coefficient raises NonFinite.
+
+The phase-space reference in ``symplectic`` steps its linear flow
+dY/dt = A(t) Y with :func:`linear_flow_on_grid`, a Dormand-Prince 5(4)
+stepper that builds the sub-steps of every grid interval in one batched
+pass, so that reference shares its integrator neither with the engine it
+checks (DOP853) nor with the Fock oracle (CFM4).  The per-step 5(4) stepper
+:func:`rk45_on_grid`, with the same tableau and error test, steps a
+nonlinear RHS, as the variant-RHS checks need.
 """
 
 from __future__ import annotations
@@ -289,9 +294,9 @@ _MAX_FACTOR = 5.0
 def rk45_on_grid(rhs, times, y0, rtol, atol, span):
     """Adaptive 5(4) stepping that lands exactly on every grid time.
 
-    The integrator of the phase-space reference
-    (``symplectic.propagate_symplectic``) and of the variant-RHS checks; the
-    engine steps with :func:`_dop853`.  Initial step span/1000, safety
+    The integrator of the variant-RHS checks, which step nonlinear RHSs;
+    the engine steps with :func:`_dop853` and the phase-space reference
+    with :func:`linear_flow_on_grid`.  Initial step span/1000, safety
     factor 0.9, maximum step span/10, step floor 1e-12 span (StepUnderflow
     below it).
     Returns (values[len(times), n], accepted, rejected).
@@ -347,6 +352,108 @@ def rk45_on_grid(rhs, times, y0, rtol, atol, span):
                 raise StepUnderflow(t, h)
 
     return values, accepted, rejected
+
+
+# Largest stage table of one pass of linear_flow_on_grid, in complex numbers:
+# a pass takes at most max(1, _FLOW_BLOCK // (7 n^2)) sub-steps, so a drive
+# that needs many sub-steps keeps the memory of one that needs few.
+_FLOW_BLOCK = 2 ** 15
+
+
+def linear_flow_on_grid(generator, times, y0, rtol, atol, span):
+    """Dormand-Prince 5(4) steps of a linear flow dY/dt = A(t) Y, batched.
+
+    ``generator`` maps an array of m times to A at each time, shape
+    (m, n, n); ``y0`` has shape (n,) or (n, k).  By linearity a sub-step's
+    stage matrices K_s = A(t + c_s h)(I + h sum_j a_sj K_j), its propagator
+    R = I + h sum_j b_j K_j and its error matrix E = h sum_j e_j K_j depend
+    on t and h alone, so one pass builds them for many sub-steps from one
+    sampling of A; only the product Y_{k+1} = R_k Y_k is sequential.
+
+    Each grid interval is cut into equal sub-steps, at first one (none
+    longer than span/10).  A sub-step passes the error test of
+    :func:`rk45_on_grid`: the RMS of E_k Y_k over atol + rtol max(|Y_k|,
+    |Y_{k+1}|) is at most 1, and a NaN estimate fails.  The sub-steps before
+    the first failure stand; every failing interval has its count doubled,
+    and the next pass starts at the failure.  A pass holds at most
+    ``_FLOW_BLOCK`` numbers per stage.  Raises NonFinite at the first time
+    where a sample of A is not finite, before any arithmetic on it, and
+    StepUnderflow for a sub-step below 1e-12 span.
+    Returns values[len(times), *y0.shape].
+    """
+    times = _output_grid(times, span)
+    y = np.array(y0, dtype=complex)
+    shape = y.shape
+    y = y.reshape(shape[0], -1)
+    n = y.shape[0]
+    values = np.empty((len(times), n, y.shape[1]), dtype=complex)
+    values[0] = y
+    widths = np.diff(times)
+    counts = np.ceil(widths / (span / 10.0)).astype(np.int64)
+    floor = 1e-12 * span
+    block = max(1, _FLOW_BLOCK // (7 * n * n))
+    eye = np.eye(n)
+    i = j = 0  # the next sub-step is the j-th of interval i
+
+    while i < len(widths):
+        # This pass: sub-steps j.. of interval i, then whole intervals, up
+        # to block sub-steps in all.
+        per = counts[i:].copy()
+        per[0] -= j
+        total = np.cumsum(per)
+        last = int(np.searchsorted(total, block))
+        if last < len(per):
+            per = per[: last + 1]
+            per[last] -= total[last] - block
+        starts = np.cumsum(per) - per
+        interval = i + np.repeat(np.arange(len(per)), per)
+        index = np.arange(int(per.sum())) - np.repeat(starts, per)
+        index[: per[0]] += j
+        h = widths[interval] / counts[interval]
+        t0 = times[interval] + index * h
+        if h.min() < floor:
+            low = int(np.argmin(h))
+            raise StepUnderflow(t0[low], h[low])
+
+        stage_times = (t0[:, None] + h[:, None] * _C).ravel()
+        # A sample that overflows or is undefined is NonFinite just below;
+        # numpy's warnings would only print noise before it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = np.asarray(generator(stage_times), dtype=complex)
+        finite = np.isfinite(a).reshape(len(stage_times), -1).all(axis=1)
+        if not finite.all():
+            raise NonFinite(stage_times[np.argmin(finite)])
+        a = a.reshape(len(h), 7, n, n)
+
+        hh = h[:, None, None]
+        k = np.empty((7, len(h), n, n), dtype=complex)
+        k[0] = a[:, 0]
+        for s in range(1, 7):
+            k[s] = a[:, s] @ (eye + hh * np.tensordot(_A[s], k[:s], axes=1))
+        r = eye + hh * np.tensordot(_B5, k, axes=1)
+        e = hh * np.tensordot(_ERR, k, axes=1)
+
+        ys = np.empty((len(h) + 1,) + y.shape, dtype=complex)
+        ys[0] = y
+        for s in range(len(h)):
+            np.matmul(r[s], ys[s], out=ys[s + 1])
+        scale = atol + rtol * np.maximum(np.abs(ys[:-1]), np.abs(ys[1:]))
+        err = np.sqrt(np.mean(np.abs((e @ ys[:-1]) / scale) ** 2, axis=(1, 2)))
+        passed = err <= 1.0
+        done = len(h) if passed.all() else int(np.argmin(passed))
+
+        ends = np.flatnonzero(index[:done] == counts[interval[:done]] - 1)
+        values[interval[ends] + 1] = ys[ends + 1]
+        y = ys[done]
+        if done < len(h):
+            counts[np.unique(interval[~passed])] *= 2
+            i, j = int(interval[done]), 2 * int(index[done])
+        elif index[-1] == counts[interval[-1]] - 1:
+            i, j = int(interval[-1]) + 1, 0
+        else:
+            i, j = int(interval[-1]), int(index[-1]) + 1
+
+    return values.reshape((len(times),) + shape)
 
 
 def _table(width, rows):

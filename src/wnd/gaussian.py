@@ -131,13 +131,26 @@ def quadrature_expectation(alpha, coeffs):
     return x, p
 
 
+def _signal_pair(plus, minus, factor=None):
+    """The signals of a +/- slot pair, each ``as_signal`` times ``factor``.
+
+    When ``minus is plus`` both slots get one object, so the problem's split
+    holds them as one group and the drive is evaluated once per sample,
+    also when it is a plain callable or is scaled (the K+- slots carry 2 l).
+    """
+    def coerce(x):
+        sig = as_signal(x)
+        return sig if factor is None else sig * factor
+
+    first = coerce(plus)
+    return first, first if minus is plus else coerce(minus)
+
+
 def linear_problem(g_plus, g_minus, t_final):
     """Engine problem for the linear family, G = (1, g+, g-, 0)."""
+    plus, minus = _signal_pair(g_plus, g_minus)
     return engine.DecouplingProblem(
-        linear_basis(),
-        [Constant(1.0), as_signal(g_plus), as_signal(g_minus), Constant(0.0)],
-        t_final,
-    )
+        linear_basis(), [Constant(1.0), plus, minus, Constant(0.0)], t_final)
 
 
 # -- quadratic drive ----------------------------------------------------------
@@ -270,18 +283,9 @@ def oscillator_quadratic_constant(lam_plus, lam_minus, t):
     return coeff
 
 
-def _squeeze_signals(lam_plus, lam_minus):
-    """The K+ and K- slots' signals 2 l+ and 2 l-: one scaled object for
-    both when ``lam_minus is lam_plus``, so the problem's split holds them
-    as one group and l is evaluated once per sample, as for the linear
-    family's shared drive."""
-    plus = as_signal(lam_plus) * 2.0
-    return plus, plus if lam_minus is lam_plus else as_signal(lam_minus) * 2.0
-
-
 def quadratic_problem(lam_plus, lam_minus, t_final):
     """Engine problem for the quadratic family, G = (2 l+, 2, 2 l-, -1/2)."""
-    plus, minus = _squeeze_signals(lam_plus, lam_minus)
+    plus, minus = _signal_pair(lam_plus, lam_minus, 2.0)
     return engine.DecouplingProblem(
         su11_basis(), [plus, Constant(2.0), minus, Constant(-0.5)], t_final)
 
@@ -348,11 +352,11 @@ def rotating_frame_drive(g_plus_vals, g_minus_vals, xi_plus, xi_zero, xi_minus):
 def combined_problem(g_plus, g_minus, lam_plus, lam_minus, t_final):
     """Engine problem for the combined family,
     G = (2 l+, 2, 2 l-, g+, g-, -1/2)."""
-    plus, minus = _squeeze_signals(lam_plus, lam_minus)
+    plus, minus = _signal_pair(lam_plus, lam_minus, 2.0)
+    g_plus, g_minus = _signal_pair(g_plus, g_minus)
     return engine.DecouplingProblem(
         combined_basis(),
-        [plus, Constant(2.0), minus, as_signal(g_plus), as_signal(g_minus),
-         Constant(-0.5)],
+        [plus, Constant(2.0), minus, g_plus, g_minus, Constant(-0.5)],
         t_final,
     )
 

@@ -12,6 +12,10 @@ The normalisation is pinned by free evolution (S = diag(e^{-it}, e^{it}))
 and by oracle agreement; see the tests.  For Hermitian quadratic drives S
 keeps the Bogoliubov block form [[u, v], [v*, u*]] with |u|^2 - |v|^2 = 1.
 
+The flow is stepped by the batched Dormand-Prince 5(4) linear stepper
+``engine.linear_flow_on_grid``, which shares no integrator with the
+decoupling engine (DOP853) or with the Fock oracle (CFM4).
+
 Displacement (linear) terms are deliberately not handled here: first moments
 of driven systems are cross-checked through the Fock oracle instead.
 """
@@ -37,10 +41,12 @@ def hamiltonian_matrix(lam_plus, lam_minus):
     The free term is symmetrised as (a'a + aa')/2 - 1/2; the matrix encodes
     the symmetric part and ``central_shift`` carries the dropped -1/2, so
     that (1/2) X^T H X + central_shift reproduces the operator exactly.
+    Arrays of l+ and l- give a stack of matrices, one per instant.
     """
-    h = np.array(
-        [[2.0 * lam_minus, 1.0], [1.0, 2.0 * lam_plus]], dtype=complex
-    )
+    lam_plus, lam_minus = np.broadcast_arrays(lam_plus, lam_minus)
+    h = np.ones(lam_plus.shape + (2, 2), dtype=complex)
+    h[..., 0, 0] = 2.0 * lam_minus
+    h[..., 1, 1] = 2.0 * lam_plus
     return h, -0.5
 
 
@@ -58,23 +64,27 @@ class SymplecticTrajectory:
 
 def propagate_symplectic(lam_plus, lam_minus, t_final, rtol=1e-10, atol=1e-12,
                          times=None, n_out=129):
-    """Integrate dS/dt = FLOW H(t) S from S(0) = 1 for quadratic drives."""
-    from .engine import rk45_on_grid
+    """Integrate dS/dt = FLOW H(t) S from S(0) = 1 for quadratic drives.
+
+    The flow is stepped by the batched linear stepper
+    :func:`engine.linear_flow_on_grid`, which samples H once on every
+    stage time of a pass.
+    """
+    from .engine import linear_flow_on_grid
 
     lam_plus = as_signal(lam_plus)
     lam_minus = as_signal(lam_minus)
 
-    def rhs(t, s_flat):
-        h, _ = hamiltonian_matrix(lam_plus(t), lam_minus(t))
-        return (FLOW @ h @ s_flat.reshape(2, 2)).ravel()
+    def generator(t):
+        return FLOW @ hamiltonian_matrix(lam_plus(t), lam_minus(t))[0]
 
     T = float(t_final)
     if times is None:
         times = np.linspace(0.0, T, n_out)
     times = np.asarray(times, dtype=float)
-    mats, _, _ = rk45_on_grid(rhs, times, np.eye(2, dtype=complex).ravel(),
-                              rtol, atol, T)
-    return SymplecticTrajectory(times=times, matrices=mats.reshape(-1, 2, 2))
+    mats = linear_flow_on_grid(generator, times, np.eye(2, dtype=complex),
+                               rtol, atol, T)
+    return SymplecticTrajectory(times=times, matrices=mats)
 
 
 def first_moments(s, alpha):

@@ -329,11 +329,12 @@ class TestIntegrate:
         assert seen_by_rhs and not any(seen_by_rhs)
 
     def test_dp5_stays_the_phase_space_reference(self, monkeypatch):
-        # The symplectic reference integrates with rk45_on_grid; the engine
-        # does not, so the two do not share an integrator.
+        # The symplectic reference steps with the batched Dormand-Prince
+        # 5(4) linear stepper; the engine (DOP853) does not, so the two do
+        # not share an integrator.
         calls = []
-        real = engine.rk45_on_grid
-        monkeypatch.setattr(engine, "rk45_on_grid",
+        real = engine.linear_flow_on_grid
+        monkeypatch.setattr(engine, "linear_flow_on_grid",
                             lambda *a: calls.append(a) or real(*a))
         sig = Sinusoid(0.1, 2.0)
         symplectic.propagate_symplectic(sig, sig, 2.0, n_out=21)
@@ -390,6 +391,84 @@ class TestIntegrate:
         np.testing.assert_array_equal(rows[0], start)
 
 
+def _rotation(freq):
+    """A(t) = i w(t) diag(1, -1), w = 1 + 50 cos(freq t): the matrices
+    commute, so Y(t) = diag(e^{i phi}, e^{-i phi}) with phi the integral of
+    w.  Returns (generator, exact)."""
+    def generator(t):
+        w = 1.0 + 50.0 * np.cos(freq * t)
+        a = np.zeros(t.shape + (2, 2), dtype=complex)
+        a[:, 0, 0], a[:, 1, 1] = 1j * w, -1j * w
+        return a
+
+    def exact(t):
+        phi = t + 50.0 / freq * np.sin(freq * t)
+        return np.stack([np.diag([np.exp(1j * p), np.exp(-1j * p)])
+                         for p in phi])
+
+    return generator, exact
+
+
+class TestLinearFlow:
+    def test_tighter_rtol_is_closer_to_the_reference(self):
+        # Three output times on [0, 6]: the sub-steps are set by rtol alone.
+        sig = Sinusoid(0.08, 2.0)
+        times = np.linspace(0.0, 6.0, 3)
+
+        def rhs(t, y):
+            h, _ = symplectic.hamiltonian_matrix(sig(t), sig(t))
+            return (symplectic.FLOW @ h @ y.reshape(2, 2)).ravel()
+
+        reference, _, _ = engine._dop853(rhs, times, np.eye(2).ravel(), 1e-13,
+                                         1e-15, 6.0)
+        errors = [np.max(np.abs(symplectic.propagate_symplectic(
+            sig, sig, 6.0, rtol=rtol, atol=1e-3 * rtol, times=times).matrices
+            - reference.reshape(-1, 2, 2))) for rtol in (1e-6, 1e-8, 1e-10)]
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] <= 1e-9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_drive_raises_at_its_first_time(self, bad):
+        # NaN from t = 0.5 on; the first stage time at or past it is named,
+        # with no numpy warning before the typed error.
+        lam = Hook(lambda t: np.where(t < 0.5, 0.1, bad))
+        with pytest.raises(NonFinite) as err:
+            symplectic.propagate_symplectic(lam, lam, 1.0, n_out=11)
+        assert err.value.time == pytest.approx(0.5)
+
+    def test_sub_step_below_the_floor_underflows(self):
+        generator, _ = _rotation(1.0)
+        with pytest.raises(StepUnderflow):
+            engine.linear_flow_on_grid(generator, [0.0, 1e-13, 1.0], np.eye(2),
+                                       1e-10, 1e-12, 1.0)
+
+    def test_a_fast_drive_is_stepped_in_bounded_passes(self):
+        # Two output times and a drive at frequency 400: thousands of
+        # sub-steps, sampled no more than one block at a time.
+        generator, exact = _rotation(400.0)
+        sizes = []
+
+        def counted(t):
+            sizes.append(len(t))
+            return generator(t)
+
+        times = np.array([0.0, 2.0])
+        out = engine.linear_flow_on_grid(counted, times, np.eye(2), 1e-10,
+                                         1e-12, 2.0)
+        block = engine._FLOW_BLOCK // (7 * 2 * 2)
+        assert max(sizes) == 7 * block
+        assert np.max(np.abs(out - exact(times))) <= 1e-8
+
+    def test_vector_start_gives_vector_rows(self):
+        generator, exact = _rotation(3.0)
+        times = np.linspace(0.0, 1.0, 6)
+        y0 = np.array([0.6, 0.8j])
+        out = engine.linear_flow_on_grid(generator, times, y0, 1e-10, 1e-12, 1.0)
+        assert out.shape == (6, 2)
+        assert np.max(np.abs(out - exact(times) @ y0)) <= 1e-9
+
+
 class TestProblemConstruction:
     def test_signal_padding(self):
         prob = DecouplingProblem(gaussian.linear_basis(), [Constant(1.0)], 1.0)
@@ -411,6 +490,33 @@ class TestProblemConstruction:
             assert len(calls) == 1
             want = np.array([s(t) for s in prob.signals], dtype=complex)
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("family", ["linear", "combined"])
+    def test_shared_plain_callable_drive_evaluated_once(self, family):
+        # One plain function for both ladder slots is coerced once: one
+        # time-dependent group, one evaluation per g_vector call and per
+        # oracle sample.
+        calls = []
+
+        def drive(t):
+            calls.append(t)
+            return 0.2 * np.cos(1.3 * t)
+
+        if family == "linear":
+            prob = gaussian.linear_problem(drive, drive, 1.0)
+        else:
+            prob = gaussian.combined_problem(drive, drive, 0.1, 0.1, 1.0)
+        (_, idx), = prob.g_varying
+        assert list(idx) == ([1, 2] if family == "linear" else [3, 4])
+        h_eval = fock.oracle_hamiltonian(prob, 8)
+        for t in np.linspace(0.0, 1.0, 7):
+            calls.clear()
+            g = prob.g_vector(t)
+            assert len(calls) == 1
+            assert g[idx[0]] == g[idx[1]] == 0.2 * np.cos(1.3 * t)
+            calls.clear()
+            h_eval(t)
+            assert len(calls) == 1
 
     @pytest.mark.parametrize("family", ["quadratic", "combined"])
     def test_shared_squeezing_signal_evaluated_once(self, family):

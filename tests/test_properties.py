@@ -1,10 +1,11 @@
-"""Property-based checks of the symbolic algebra laws, and of the engine
-against its references over random Gaussian drives."""
+"""Property-based checks of the symbolic algebra laws, of the engine
+against its references over random Gaussian drives, and of the batched
+linear stepper against the per-step one."""
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
-from wnd import fock, gaussian, ladder, symplectic
+from wnd import engine, fock, gaussian, ladder, symplectic
 from wnd.errors import ClosureOverflow, LeakageTooLarge, WndError
 from wnd.ladder import LadderPolynomial, commutator, identity, normal_order
 from wnd.signals import Sinusoid
@@ -238,3 +239,58 @@ def test_engine_moments_match_references(drive):
         moments = np.array([symplectic.first_moments(m, alpha)[0]
                             for m in phase_space.matrices])
         assert np.max(np.abs(engine_a - moments)) <= 1e-6
+
+
+@st.composite
+def linear_flows(draw):
+    """(generator, rhs, n, times): dY/dt = A(t) Y with A a constant part
+    plus Sinusoid-weighted terms, each i times a Hermitian matrix (entries
+    at most 1/2) plus a small general part, so A has a norm of order one,
+    as the phase-space flow has, and Y stays of order one; and a grid of
+    one to nine intervals."""
+    n = draw(st.integers(2, 3))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def term(scale):
+        b = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        g = rng.uniform(-1, 1, (n, n)) + 1j * rng.uniform(-1, 1, (n, n))
+        return scale * (0.25j * (b + b.conj().T) + 0.05 * g)
+
+    constant = term(1.0)
+    terms = [(Sinusoid(rng.uniform(-1, 1), rng.uniform(0, 3), rng.uniform(0, 6)),
+              term(0.5)) for _ in range(draw(st.integers(1, 2)))]
+    span = draw(st.floats(0.2, 3.0))
+    inner = sorted(draw(st.sets(st.floats(0.01, 0.99), max_size=8)))
+    times = span * np.array([0.0, *inner, 1.0])
+    assume(np.all(np.diff(times) > 1e-3))
+
+    def generator(t):
+        return constant + sum(sig(t)[:, None, None] * m for sig, m in terms)
+
+    def rhs(t, y):
+        a = constant + sum(sig(t) * m for sig, m in terms)
+        return (a @ y.reshape(n, n)).ravel()
+
+    return generator, rhs, n, times
+
+
+@settings(max_examples=30, deadline=None)
+@given(linear_flows())
+def test_batched_linear_stepper_matches_per_step_stepper(flow):
+    # The batched stepper and rk45_on_grid take the same Dormand-Prince 5(4)
+    # steps and error test; DOP853 at rtol 1e-13 is the reference of both.
+    generator, rhs, n, times = flow
+    span = times[-1]
+    batched = engine.linear_flow_on_grid(generator, times, np.eye(n), 1e-10,
+                                         1e-12, span)
+    stepped, _, _ = engine.rk45_on_grid(rhs, times, np.eye(n).ravel(), 1e-10,
+                                        1e-12, span)
+    reference, _, _ = engine._dop853(rhs, times, np.eye(n).ravel(), 1e-13,
+                                     1e-15, span)
+    assert batched.shape == (len(times), n, n)
+    stepped = stepped.reshape(-1, n, n)
+    reference = reference.reshape(-1, n, n)
+    assert np.max(np.abs(batched - stepped)) <= 1e-9
+    assert np.max(np.abs(batched - reference)) <= 1e-9
+    assert np.max(np.abs(stepped - reference)) <= 1e-9
